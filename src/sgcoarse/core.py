@@ -235,9 +235,6 @@ class UnitSystem:
     def scale_accel(self, a):
         return a / self.accel
 
-    def unscale_amplitude(self, phi):
-        return phi * self.amplitude
-
     def unscale_density(self, rho):
         """Position density |φ|²: scaled -> SI (1/m)."""
         return rho / self.sigma

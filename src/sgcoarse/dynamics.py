@@ -29,7 +29,9 @@ same Gaussian family, coherences included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,6 +101,15 @@ def _in_field_branch(a_s: float, t: float) -> GaussianBranch:
     )
 
 
+class DensityForm(NamedTuple):
+    """|c_s φ_s(x)|² = C exp(-a (x - mu)²) on the scaled axis; log_C = ln C."""
+
+    C: float
+    mu: float
+    a: float
+    log_C: float
+
+
 @dataclass(frozen=True)
 class SpinorWavepacket:
     """Two-branch Gaussian state at one instant, SI at the surface.
@@ -147,6 +158,15 @@ class SpinorWavepacket:
     def mean_momentum(self, branch: str) -> float:
         return self.units.unscale_momentum(self.branch(branch).mean_momentum)
 
+    def density_form(self, branch: str) -> DensityForm:
+        """Weighted branch density as one real Gaussian in scaled units."""
+        g = self.branch(branch)
+        a = 2.0 * g.alpha.real
+        mu = -g.beta.real / a
+        log_c = 2.0 * math.log(abs(g.norm)) - 2.0 * g.gamma.real + a * mu * mu
+        w2 = abs(self.params.weight(branch)) ** 2
+        return DensityForm(w2 * math.exp(log_c), mu, a, math.log(w2) + log_c)
+
     def branch_overlap(self) -> complex:
         """⟨φ₋|φ₊⟩ evaluated exactly from the stored exponents."""
         p, m = self.plus, self.minus
@@ -191,11 +211,6 @@ def evolve_free_after_field(params: PhysicalParams, t1: float, t: float) -> Spin
         plus=state.plus.free_evolved(dts),
         minus=state.minus.free_evolved(dts),
     )
-
-
-def state_amplitude(state: SpinorWavepacket, branch: str, x, *, weighted: bool = True):
-    """Module-level alias for :meth:`SpinorWavepacket.amplitude`."""
-    return state.amplitude(branch, x, weighted=weighted)
 
 
 def kernel(block: str, x, x_i, t: float, params: PhysicalParams):

@@ -8,9 +8,10 @@ von Neumann entropy has the closed form
 
 in nats, where A is the overlap magnitude.  A position measurement on a
 pixelated screen reveals part of that correlation: a detection at pixel X
-updates the spin probabilities to q_pm(X) and yields I(X) = ln2 - S(X)
-nats, and the mean over arrival positions is bounded by the entanglement
-entropy.  Everything here works in nats; divide by ln2 for bits.
+updates the spin probabilities to q_pm(X) and yields I(X) = H - S(X) nats,
+with H the prior spin entropy (ln2 for equal weights); the mean over
+arrival positions is the spin-pixel mutual information, bounded by the
+entanglement entropy.  Everything here works in nats; divide by ln2 for bits.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from scipy.special import xlogy
 
 from .core import DerivedScales, PhysicalParams, derive_scales
 from .dynamics import SpinorWavepacket, evolve_in_field
-from .numerics import complex_quad, gauss_window, real_quad
+from .numerics import gauss_window, real_quad
 from .phase_space import CoarsePixelSpec
 
 __all__ = [
@@ -127,25 +128,12 @@ def entanglement_series(scales: DerivedScales, times) -> EntanglementSeries:
 
 
 def reduced_spin_density(state: SpinorWavepacket) -> np.ndarray:
-    """Trace out position: 2x2 spin density matrix, overlap by quadrature.
+    """Trace out position: 2x2 spin density matrix for arbitrary weights.
 
-    rho[s, s'] = c_s c_s'* <phi_s'|phi_s> with the overlap integral done
-    adaptively on the scaled axis.  Works for arbitrary weights.
+    rho[s, s'] = c_s c_s'* <phi_s'|phi_s>, with the exact branch overlap.
     """
     cp, cm = state.params.c_plus, state.params.c_minus
-    plus, minus = state.plus, state.minus
-
-    # integration window: union of branch supports, scaled units
-    centers = (plus.center, minus.center)
-    widths = (math.sqrt(plus.variance), math.sqrt(minus.variance))
-    lo = min(c - _TAIL_SIGMAS * w for c, w in zip(centers, widths))
-    hi = max(c + _TAIL_SIGMAS * w for c, w in zip(centers, widths))
-
-    def integrand(x):
-        return plus.value(x) * np.conj(minus.value(x))
-
-    overlap = complex_quad(integrand, lo, hi, epsabs=1e-13, points=centers)
-    off = cp * np.conj(cm) * overlap
+    off = cp * np.conj(cm) * state.branch_overlap()
     return np.array(
         [[abs(cp) ** 2, off], [np.conj(off), abs(cm) ** 2]], dtype=complex
     )
@@ -167,7 +155,9 @@ class ScreenDistribution:
     X are pixel centers (m), Delta the common pixel width.  P_plus/P_minus
     are joint probabilities of (arrive in pixel, spin branch); q_plus and
     q_minus condition on arrival.  S is the conditional spin entropy and
-    I = ln2 - S the information gained per event, both in nats.
+    I = H - S the information gained per event, both in nats, with H the
+    prior spin entropy; I is negative where a detection leaves the spin
+    less certain than the prior.
     """
 
     X: np.ndarray
@@ -189,14 +179,10 @@ class ScreenDistribution:
         return float(np.sum((self.P_plus + self.P_minus) * self.I))
 
 
-def _density_form(state: SpinorWavepacket, branch: str):
-    """|c_s phi_s(x)|² = C exp(-ar (x - mu)²) on the scaled axis."""
-    g = state.branch(branch)
-    ar = 2.0 * g.alpha.real
-    mu = -g.beta.real / ar
-    logC = 2.0 * math.log(abs(g.norm)) - 2.0 * g.gamma.real + ar * mu * mu
-    w2 = abs(state.params.weight(branch)) ** 2
-    return w2 * math.exp(logC), mu, ar, math.log(w2) + logC
+def _prior_entropy(params: PhysicalParams) -> float:
+    """Entropy (nats) of the spin weights, the eigenvalues (1 pm A)/2 of
+    diag(|c+|², |c-|²) with A = ||c+|² - |c-|²|."""
+    return entropy_from_overlap(abs(abs(params.c_plus) ** 2 - abs(params.c_minus) ** 2))
 
 
 def _pixel_grid(extent, Delta: float, alignment: str) -> np.ndarray:
@@ -244,10 +230,10 @@ def screen_distribution(
     u = state.units
     dh = u.scale_length(Delta)
 
-    forms = {b: _density_form(state, b) for b in "+-"}
+    forms = {b: state.density_form(b) for b in "+-"}
     if extent is None:
-        lo = min(f[1] - _TAIL_SIGMAS / math.sqrt(f[2]) for f in forms.values())
-        hi = max(f[1] + _TAIL_SIGMAS / math.sqrt(f[2]) for f in forms.values())
+        lo = min(f.mu - _TAIL_SIGMAS / math.sqrt(f.a) for f in forms.values())
+        hi = max(f.mu + _TAIL_SIGMAS / math.sqrt(f.a) for f in forms.values())
     else:
         lo, hi = u.scale_length(float(extent[0])), u.scale_length(float(extent[1]))
 
@@ -255,8 +241,8 @@ def screen_distribution(
     edges_lo, edges_hi = Xh - 0.5 * dh, Xh + 0.5 * dh
 
     mass = {}
-    for b, (C, mu, ar, _) in forms.items():
-        mass[b] = C * gauss_window(edges_lo, edges_hi, mu, ar)
+    for b, f in forms.items():
+        mass[b] = f.C * gauss_window(edges_lo, edges_hi, f.mu, f.a)
     p_plus, p_minus = mass["+"], mass["-"]
 
     captured = float(np.sum(p_plus + p_minus))
@@ -267,8 +253,7 @@ def screen_distribution(
     # log-density ratio at the pixel center so 0/0 never appears
     tot = p_plus + p_minus
     safe = tot > 1e-300
-    lp = forms["+"][3] - forms["+"][2] * (Xh - forms["+"][1]) ** 2
-    lm = forms["-"][3] - forms["-"][2] * (Xh - forms["-"][1]) ** 2
+    lp, lm = (f.log_C - f.a * (Xh - f.mu) ** 2 for f in forms.values())
     with np.errstate(divide="ignore", over="ignore"):
         q_plus = np.where(
             safe,
@@ -279,7 +264,7 @@ def screen_distribution(
     q_minus = 1.0 - q_plus
 
     S = -(xlogy(q_plus, q_plus) + xlogy(q_minus, q_minus))
-    I = np.clip(LN2 - S, 0.0, LN2)
+    I = _prior_entropy(state.params) - S
 
     return ScreenDistribution(
         X=u.unscale_length(Xh),
@@ -304,20 +289,21 @@ def mean_information(
 ) -> float:
     """Mean information per detection event, nats.
 
-    fine_limit=True evaluates the continuum form
-        H = ln2 - ∫P lnP + ∫P₊ lnP₊ + ∫P₋ lnP₋
+    fine_limit=True evaluates the continuum mutual information
+        H = H_prior - ∫P lnP + ∫P₊ lnP₊ + ∫P₋ lnP₋
     as ∫ P(x) I(x) dx, which is its numerically stable rearrangement (the
     dimensionful logs cancel exactly).  fine_limit=False sums P(X) I(X)
-    over the pixels instead (default pixel spec if none given).
+    over the pixels instead (default pixel spec if none given).  Either
+    way the result is clipped to [0, H_prior].
     """
+    prior = _prior_entropy(state.params)
     if not fine_limit:
         spec = CoarsePixelSpec.default() if pixels is None else pixels
-        return screen_distribution(
-            state, spec, extent, alignment=alignment
-        ).mean_information()
+        val = screen_distribution(state, spec, extent, alignment=alignment).mean_information()
+        return float(min(max(val, 0.0), prior))
 
-    (Cp, mup, arp, lCp) = _density_form(state, "+")
-    (Cm, mum, arm, lCm) = _density_form(state, "-")
+    (Cp, mup, arp, lCp) = state.density_form("+")
+    (Cm, mum, arm, lCm) = state.density_form("-")
     lo = min(mup - _TAIL_SIGMAS / math.sqrt(arp), mum - _TAIL_SIGMAS / math.sqrt(arm))
     hi = max(mup + _TAIL_SIGMAS / math.sqrt(arp), mum + _TAIL_SIGMAS / math.sqrt(arm))
 
@@ -333,10 +319,10 @@ def mean_information(
             w_plus = e / (1.0 + e)
         w_minus = 1.0 - w_plus
         s = -(xlogy(w_plus, w_plus) + xlogy(w_minus, w_minus))
-        return (pp + pm) * (LN2 - s)
+        return (pp + pm) * (prior - s)
 
     val = real_quad(integrand, lo, hi, epsabs=1e-11, points=(mup, mum))
-    return float(min(max(val, 0.0), LN2))
+    return float(min(max(val, 0.0), prior))
 
 
 def information_series(params: PhysicalParams, times, *, fine_limit: bool = True):

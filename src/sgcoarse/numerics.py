@@ -67,17 +67,6 @@ def gauss_window(a, b, mu, alpha: float) -> np.ndarray:
     return (np.sqrt(np.pi) / (2.0 * ra)) * (erf((b - mu) * ra) - erf((a - mu) * ra))
 
 
-def complex_quad(f, a: float, b: float, *, epsabs: float = 1e-12, limit: int = 400,
-                 points=None) -> complex:
-    """Adaptive Gauss-Kronrod quadrature of a complex integrand."""
-    kw = dict(epsabs=epsabs, epsrel=1e-11, limit=limit)
-    if points is not None:
-        kw["points"] = [p for p in points if a < p < b]
-    re = integrate.quad(lambda u: f(u).real, a, b, **kw)[0]
-    im = integrate.quad(lambda u: f(u).imag, a, b, **kw)[0]
-    return complex(re, im)
-
-
 def real_quad(f, a: float, b: float, *, epsabs: float = 1e-12, limit: int = 400,
               points=None) -> float:
     """Adaptive Gauss-Kronrod quadrature of a real integrand."""

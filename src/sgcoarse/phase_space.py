@@ -190,66 +190,23 @@ def _pair_form(state: SpinorWavepacket, pair: str) -> _PairForm:
     )
 
 
-def _require_analytic(state: SpinorWavepacket) -> None:
-    if not state.in_field:
-        raise ValueError(
-            "state has left the field region; the single-Gaussian closed form "
-            "does not apply, use wigner_numeric on a sampled density matrix"
-        )
+def wigner_analytic(state: SpinorWavepacket, q, p) -> WignerMatrixField:
+    """Closed-form Wigner matrix on the axes q (m) and p (kg·m/s).
 
-
-@dataclass(frozen=True)
-class WignerValue:
-    """One 2x2 Hermitian Wigner matrix value (or an array of them), SI units."""
-
-    w_pp: np.ndarray
-    w_mm: np.ndarray
-    w_pm: np.ndarray
-
-    @property
-    def w_mp(self) -> np.ndarray:
-        return np.conj(self.w_pm)
-
-    def block(self, pair: str):
-        if pair == "++":
-            return self.w_pp
-        if pair == "--":
-            return self.w_mm
-        if pair == "+-":
-            return self.w_pm
-        if pair == "-+":
-            return self.w_mp
-        raise ValueError(f"pair must be one of {SPIN_PAIRS}, got {pair!r}")
-
-    def matrix(self) -> np.ndarray:
-        """2x2 array for scalar evaluations."""
-        return np.array(
-            [[complex(self.w_pp), complex(self.w_pm)],
-             [complex(self.w_mp), complex(self.w_mm)]]
-        )
-
-
-def wigner_analytic(state: SpinorWavepacket, q, p) -> WignerValue:
-    """Closed-form Wigner matrix of an in-field state at positions q (m) and
-    momenta p (kg·m/s).  Array inputs are treated as coordinate axes: the
-    result blocks have shape (len(q), len(p))."""
-    _require_analytic(state)
+    Holds for any equal-width branch pair, in the field or after it; the
+    blocks have shape (len(q), len(p)).
+    """
     u = state.units
-    qh = np.asarray(u.scale_length(q), dtype=float)
-    ph = np.asarray(u.scale_momentum(p), dtype=float)
-    scalar = qh.ndim == 0 and ph.ndim == 0
-    qg = qh.reshape(-1, 1)
-    pg = ph.reshape(1, -1)
-    blocks = {}
-    for pair in ("++", "--", "+-"):
-        w = _pair_form(state, pair).value(qg, pg)
-        blocks[pair] = u.unscale_wigner(w)
-    w_pp = blocks["++"].real
-    w_mm = blocks["--"].real
-    w_pm = blocks["+-"]
-    if scalar:
-        return WignerValue(w_pp[0, 0], w_mm[0, 0], w_pm[0, 0])
-    return WignerValue(w_pp, w_mm, w_pm)
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    qg = u.scale_length(q).reshape(-1, 1)
+    pg = u.scale_momentum(p).reshape(1, -1)
+    w = {pair: u.unscale_wigner(_pair_form(state, pair).value(qg, pg))
+         for pair in ("++", "--", "+-")}
+    return WignerMatrixField(
+        params=state.params, t=state.t, q=q, p=p,
+        w_pp=w["++"].real, w_mm=w["--"].real, w_pm=w["+-"], source=state,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +219,14 @@ def _numeric_state_wavenumber(params: PhysicalParams, t: float) -> float:
     return abs(u.scale_accel(params.accel)) * u.scale_time(t) + 10.0
 
 
-def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerValue:
+def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     """Wigner matrix by direct Fourier transform of a sampled density matrix.
 
     q values are snapped to the nearest node of rho's own grid so that
     q ± y/2 stays on the grid; the y-trapezoid is then spectrally accurate
     for the smooth decaying integrands produced by Gaussian packets.
-    Array q, p are coordinate axes as in wigner_analytic.
+    q, p are coordinate axes as in wigner_analytic.  The field records
+    its Hermiticity and imaginary-diagonal residues (scaled units).
     """
     x = rho.x
     if x.size < 3:
@@ -278,9 +236,6 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerValue:
         raise ValueError("wigner_numeric requires a uniform grid")
     qa = np.atleast_1d(np.asarray(q, dtype=float))
     pa = np.atleast_1d(np.asarray(p, dtype=float))
-    scalar = np.ndim(q) == 0 and np.ndim(p) == 0
-
-    u = UnitSystem.for_params(rho.params)
     hbar = rho.params.hbar
     k_state = _numeric_state_wavenumber(rho.params, rho.t) / rho.params.sigma
     p_max = float(np.max(np.abs(pa))) if pa.size else 0.0
@@ -308,12 +263,11 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerValue:
     w_pm, w_mp = out["+-"], out["-+"]
     herm = float(np.max(np.abs(w_mp - np.conj(w_pm)))) if w_pm.size else 0.0
     diag_imag = float(max(np.max(np.abs(w_pp.imag)), np.max(np.abs(w_mm.imag))))
-    val = WignerValue(w_pp.real, w_mm.real, w_pm)
-    object.__setattr__(val, "_hermiticity_residue", herm * u.hbar)
-    object.__setattr__(val, "_diag_imag_residue", diag_imag * u.hbar)
-    if scalar:
-        return WignerValue(val.w_pp[0, 0], val.w_mm[0, 0], val.w_pm[0, 0])
-    return val
+    return WignerMatrixField(
+        params=rho.params, t=rho.t, q=qa, p=pa,
+        w_pp=w_pp.real, w_mm=w_mm.real, w_pm=w_pm,
+        diag_imag_residue=diag_imag * hbar, hermiticity_residue=herm * hbar,
+    )
 
 
 def density_grid_for_wigner(
@@ -331,9 +285,7 @@ def density_grid_for_wigner(
     need = np.pi / (8.0 * (abs(p_max) / hbar + k_state))
     r = max(1, math.ceil(dq / (0.9 * need)))
     dx = dq / r
-    u = state.units
-    th = u.scale_time(state.t)
-    width = state.params.sigma * math.sqrt((1.0 + th * th) / 2.0)
+    width = math.sqrt(state.variance("+"))
     reach = pad_widths * width + abs(state.center("+")) + abs(state.center("-"))
     lo = qa[0] - reach
     hi = qa[-1] + reach
@@ -373,13 +325,14 @@ class CoarsePixelSpec:
 
 @dataclass(frozen=True)
 class WignerMatrixField:
-    """2×2 Hermitian Wigner matrix on a (q, p) grid, SI units.
+    """2×2 Hermitian Wigner matrix on 1-D axes q and p, SI units.
 
     Diagonal blocks are stored real; W₋₊ is the conjugate of the stored
     W₊₋, so the field is Hermitian by construction.  `source` keeps the
     generating state when the field came from the closed form (enabling
     exact marginals and analytic coarse graining); `pixels` is set on
-    coarse-grained fields.
+    coarse-grained fields.  The residues are recorded by the numeric
+    transform and by analytic coarse graining.
     """
 
     params: PhysicalParams
@@ -409,11 +362,6 @@ class WignerMatrixField:
             return self.w_mp
         raise ValueError(f"pair must be one of {SPIN_PAIRS}, got {pair!r}")
 
-    def value(self, iq: int, ip: int) -> WignerValue:
-        return WignerValue(
-            self.w_pp[iq, ip], self.w_mm[iq, ip], self.w_pm[iq, ip]
-        )
-
     def marginal_position(self, pair: str = "++") -> np.ndarray:
         """∫ W_αβ(q,p) dp on the q nodes (1/m).
 
@@ -421,7 +369,7 @@ class WignerMatrixField:
         the result is exact regardless of the stored p sampling; other
         fields fall back to the trapezoid on their own p grid.
         """
-        if self.source is not None and self.pixels is None and self.source.in_field:
+        if self.source is not None:
             u = self.source.units
             form = _pair_form(self.source, pair)
             qh = np.asarray(u.scale_length(self.q), dtype=float)
@@ -439,24 +387,11 @@ class WignerMatrixField:
 
     def total(self) -> float:
         """∬ (W₊₊ + W₋₋) dq dp."""
-        if self.source is not None and self.pixels is None and self.source.in_field:
+        if self.source is not None:
             dens = self.marginal_position("++") + self.marginal_position("--")
             return float(np.trapezoid(dens.real, x=self.q))
         dens = self.w_pp + self.w_mm
         return float(np.trapezoid(np.trapezoid(dens, x=self.p, axis=1), x=self.q))
-
-    def iter_csv_rows(self):
-        """Rows `q,p,W_pp,W_mm,Re_W_pm,Im_W_pm`, row-major q then p."""
-        for i in range(self.q.size):
-            for j in range(self.p.size):
-                yield (
-                    self.q[i],
-                    self.p[j],
-                    self.w_pp[i, j],
-                    self.w_mm[i, j],
-                    self.w_pm[i, j].real,
-                    self.w_pm[i, j].imag,
-                )
 
 
 WIGNER_CSV_HEADER = "q,p,W_pp,W_mm,Re_W_pm,Im_W_pm"
@@ -487,26 +422,13 @@ def wigner_field(
     """Evaluate the Wigner matrix of `state` on a (q,p) grid."""
     if q is None or p is None:
         dq, dp = default_phase_space_grid(state.params, state.t, n_q, n_p)
-        q = dq if q is None else np.asarray(q, dtype=float)
-        p = dp if p is None else np.asarray(p, dtype=float)
-    else:
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
+        q = dq if q is None else q
+        p = dp if p is None else p
     if method == "analytic":
-        val = wigner_analytic(state, q, p)
-        return WignerMatrixField(
-            params=state.params, t=state.t, q=q, p=p,
-            w_pp=val.w_pp, w_mm=val.w_mm, w_pm=val.w_pm, source=state,
-        )
+        return wigner_analytic(state, q, p)
     if method == "numeric":
         rho = density_grid_for_wigner(state, q, float(np.max(np.abs(p))))
-        val = wigner_numeric(rho, q, p)
-        return WignerMatrixField(
-            params=state.params, t=state.t, q=q, p=p,
-            w_pp=val.w_pp, w_mm=val.w_mm, w_pm=val.w_pm, source=None,
-            diag_imag_residue=getattr(val, "_diag_imag_residue", 0.0),
-            hermiticity_residue=getattr(val, "_hermiticity_residue", 0.0),
-        )
+        return wigner_numeric(rho, q, p)
     raise ValueError(f"method must be 'analytic' or 'numeric', got {method!r}")
 
 
@@ -590,7 +512,7 @@ def coarse_grain(field: WignerMatrixField, pix: CoarsePixelSpec) -> WignerMatrix
     the Legendre momentum quadrature); sampled fields use a midpoint
     composite rule on their own grid with window clipping at the edges.
     """
-    if field.source is not None and field.pixels is None and field.source.in_field:
+    if field.source is not None:
         state = field.source
         u = state.units
         qh = np.asarray(u.scale_length(field.q), dtype=float).reshape(-1, 1)
@@ -658,9 +580,8 @@ def _coarse_grain_sampled(field: WignerMatrixField, pix: CoarsePixelSpec) -> Wig
 def project_spin_direction(w, n, strict: bool = False):
     """Tr[W(q,p)(𝟙 + n·σ)/2] for a spin direction n (unit 3-vector).
 
-    Accepts a WignerValue or a WignerMatrixField; returns the projected
-    real field.  Non-unit n is rejected when strict, otherwise normalized
-    with a warning.
+    Takes a WignerMatrixField and returns the projected real field.
+    Non-unit n is rejected when strict, otherwise normalized with a warning.
     """
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
@@ -705,9 +626,9 @@ def measure_oscillation_scale(
 
     Samples the closed form on a dense line through the envelope center;
     consecutive zero crossings of a cos(q/d + const) profile sit πd apart.
+    The window is sized from the kick gathered in the field, d ≈ ħ/(2F t_exit).
     """
-    _require_analytic(state)
-    d_est = oscillation_scale(state.params, state.t)
+    d_est = oscillation_scale(state.params, state.t_exit)
     half = 0.5 * periods * 2.0 * np.pi * d_est
     q = np.linspace(-half, half, n)
     w = wigner_analytic(state, q, np.array([p]))
@@ -726,17 +647,9 @@ def coarse_position_density(
 ) -> np.ndarray:
     """Δ-window average of |c_α φ_α|² at positions q (m): the reference curve
     for the position marginal of a coarse-grained field."""
-    branch = pair[0]
     u = state.units
     qa = np.asarray(u.scale_length(q), dtype=float)
     hw = 0.5 * u.scale_length(Delta)
-    b = state.branch(branch)
-    c = abs(state.params.weight(branch)) ** 2
-    # |φ|² = |N|² exp(-(2Re α x² + 2Re β x + 2Re γ))
-    a2 = 2.0 * b.alpha.real
-    b2 = 2.0 * b.beta.real
-    g2 = 2.0 * b.gamma.real
-    mu = -b2 / (2.0 * a2)
-    amp = c * abs(b.norm) ** 2 * math.exp(-(g2 - a2 * mu * mu))
-    mass = amp * gauss_window(qa - hw, qa + hw, mu, a2)
+    f = state.density_form(pair[0])
+    mass = f.C * gauss_window(qa - hw, qa + hw, f.mu, f.a)
     return u.unscale_density(mass / (2.0 * hw))

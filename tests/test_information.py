@@ -172,3 +172,18 @@ def test_small_pixels_approach_the_fine_limit(silver, scales):
     fine = sg.mean_information(state)
     pixelated = sg.mean_information(state, fine_limit=False, pixels=silver.sigma / 64)
     assert pixelated == pytest.approx(fine, rel=1e-3)
+
+
+@given(w_plus=st.floats(min_value=0.01, max_value=0.99))
+def test_mean_information_with_unequal_weights(w_plus, scales):
+    # the prior entropy, not ln2, is the zero point and the ceiling of H
+    params = sg.PhysicalParams.silver(c_plus=complex(np.sqrt(w_plus)),
+                                      c_minus=complex(np.sqrt(1.0 - w_plus)))
+    prior = -(xlogy(w_plus, w_plus) + xlogy(1.0 - w_plus, 1.0 - w_plus))
+    assert sg.mean_information(sg.evolve_in_field(params, 0.0)) <= 1e-12
+    saturated = sg.mean_information(sg.evolve_in_field(params, 5.0 * scales.tau1))
+    assert abs(saturated - prior) <= 1e-9
+    for t in np.linspace(0.0, 5.0 * scales.tau1, 8):
+        state = sg.evolve_in_field(params, float(t))
+        bound = sg.von_neumann_entropy(sg.reduced_spin_density(state))
+        assert sg.mean_information(state) <= bound + 1e-12

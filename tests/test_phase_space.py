@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 import sgcoarse as sg
+from sgcoarse import cli
 
 # single-pixel averages at (q, p) = (+1e-6 m, 0) for t = 3e-5 s with the
 # default 1e-6 m x 100h/1e-6 pixel, in scaled (dimensionless) units;
@@ -211,12 +212,14 @@ def test_csv_row_iteration_is_q_major(state_early):
     q = np.array([0.0, 1e-7])
     p = np.array([-1e-27, 0.0, 1e-27])
     field = sg.wigner_field(state_early, q, p)
-    rows = list(field.iter_csv_rows())
+    proj = sg.project_spin_direction(field, (1.0, 0.0, 0.0))
+    rows = list(cli._wigner_rows(field, proj))
     assert sg.WIGNER_CSV_HEADER == "q,p,W_pp,W_mm,Re_W_pm,Im_W_pm"
-    assert len(rows) == 6 and len(rows[0]) == 6
+    assert len(rows) == 6 and len(rows[0]) == 7
     assert [row[0] for row in rows[:3]] == [0.0] * 3
     assert [row[1] for row in rows[:3]] == [-1e-27, 0.0, 1e-27]
     assert rows[3][0] == 1e-7
+    assert [row[6] for row in rows] == list(proj.ravel())
 
 
 def test_coarse_position_density_matches_quadrature(state_late, silver):
@@ -233,3 +236,58 @@ def test_coarse_position_density_matches_quadrature(state_late, silver):
 def test_wigner_field_method_validation(state_early):
     with pytest.raises(ValueError):
         sg.wigner_field(state_early, method="magic")
+
+
+# ---------------------------------------------------------------------------
+# post-field states: free flight keeps the branches an equal-width Gaussian
+# pair, so the closed form, its marginals and its coarse graining still hold
+
+
+@pytest.fixture(scope="module")
+def state_post(silver):
+    return sg.evolve_free_after_field(silver, 5e-6, 1e-5)
+
+
+def test_post_field_closed_form_matches_numeric(state_post, silver):
+    width_q = 6.0 * np.sqrt(state_post.variance("+"))
+    width_p = 6.0 * silver.hbar / (np.sqrt(2.0) * silver.sigma)
+    fringe = sg.oscillation_scale(silver, state_post.t_exit)
+    windows = [
+        (np.linspace(state_post.center(b) - width_q, state_post.center(b) + width_q, 16),
+         np.linspace(state_post.mean_momentum(b) - width_p,
+                     state_post.mean_momentum(b) + width_p, 16))
+        for b in "+-"
+    ]
+    windows.append((0.25 * fringe * (np.arange(16) - 7.5), np.linspace(-width_p, width_p, 16)))
+    for q, p in windows:
+        analytic = sg.wigner_field(state_post, q, p, method="analytic")
+        numeric = sg.wigner_field(state_post, q, p, method="numeric")
+        assert analytic.source is state_post
+        for pair in ("++", "--", "+-"):
+            dev = float(np.max(np.abs(analytic.block(pair) - numeric.block(pair))))
+            assert dev * silver.hbar < 1e-9
+
+
+def test_post_field_marginal_and_total(state_post, silver):
+    q, p = sg.default_phase_space_grid(silver, state_post.t, n_q=64, n_p=64)
+    field = sg.wigner_field(state_post, q, p)
+    for branch, pair in (("+", "++"), ("-", "--")):
+        marg = field.marginal_position(pair)
+        dens = state_post.density(branch, q)
+        assert float(np.max(np.abs(marg - dens)) / np.max(dens)) < 1e-9
+    assert field.total() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_post_field_coarse_pixels_suppress_interference(silver):
+    state = sg.evolve_free_after_field(silver, 1e-5, 3e-5)
+    q, p = sg.default_phase_space_grid(silver, state.t, n_q=128, n_p=128)
+    field = sg.coarse_grain(sg.wigner_field(state, q, p), sg.CoarsePixelSpec.default())
+    diag_max = max(float(np.max(np.abs(field.w_pp))), float(np.max(np.abs(field.w_mm))))
+    assert float(np.max(np.abs(field.w_pm))) < 1e-3 * diag_max
+    assert float(np.min(field.w_pp)) >= 0.0
+    assert float(np.min(field.w_mm)) >= 0.0
+
+
+def test_post_field_fringe_scale_follows_the_exit_time(state_post, silver):
+    want = silver.hbar / (2.0 * silver.force * state_post.t_exit)
+    assert sg.measure_oscillation_scale(state_post) == pytest.approx(want, rel=1e-6)
