@@ -32,7 +32,7 @@ from .core import (
 )
 from .dynamics import evolve_in_field
 from .information import entanglement_series, information_series
-from .oracle import convergence_order, default_dt, verify_closed_forms
+from .oracle import OracleReport, convergence_order, default_dt, verify_closed_forms
 from .phase_space import (
     WIGNER_CSV_HEADER,
     CoarsePixelSpec,
@@ -130,7 +130,7 @@ def _cmd_entropy(args, params: PhysicalParams, settings) -> int:
     t1 = _resolve(args, settings, "t_stop_s", 2e-6, float)
     n = _resolve(args, settings, "points", 400, int)
     scales = derive_scales(params)
-    series = entanglement_series(scales, np.linspace(t0, t1, n))
+    series = entanglement_series(scales, np.linspace(t0, t1, n), params)
     echo = {"t_start_s": _fmt(t0), "t_stop_s": _fmt(t1), "points": str(n)}
     header = _header("entropy", params, echo, "t [s], A [1], S_ent [nat]")
     rows = zip(series.times, series.A_values, series.S_ent)
@@ -249,8 +249,7 @@ def _cmd_verify(args, params: PhysicalParams, settings) -> int:
     rows = []
     for t in t_list:
         dt = default_dt(params, t) * factor
-        report = verify_closed_forms(params, [t], dt=dt, n=n, half_width=half_width)
-        rows.extend(report.rows)
+        rows.extend(verify_closed_forms(params, [t], dt=dt, n=n, half_width=half_width).rows)
     _, orders = convergence_order(params, scales.tau3)
     order = min(orders)
 
@@ -272,9 +271,10 @@ def _cmd_verify(args, params: PhysicalParams, settings) -> int:
     )
 
     failures = []
-    max_l2 = max(max(r.l2_err_plus, r.l2_err_minus) for r in rows)
-    max_ov = max(r.overlap_dev for r in rows)
-    max_nd = max(r.norm_drift for r in rows)
+    report = OracleReport(params, n, half_width, tuple(rows))
+    max_l2 = report.max_l2
+    max_ov = report.max_overlap_dev
+    max_nd = report.max_norm_drift
     if max_l2 > _TOL_L2:
         detail = f"max relative L2 error {max_l2:.3e} exceeds {_TOL_L2:g}"
         if coarse_dt:

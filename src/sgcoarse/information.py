@@ -6,8 +6,10 @@ von Neumann entropy has the closed form
 
     S(A) = ln2 - [(1+A)/2] ln(1+A) - [(1-A)/2] ln(1-A)
 
-in nats, where A is the overlap magnitude.  A position measurement on a
-pixelated screen reveals part of that correlation: a detection at pixel X
+in nats, where A is the overlap magnitude.  For weights w± = |c±|² the
+eigenvalues are (1 ± A_w)/2 with A_w = sqrt(D² + (1 - D²)A²) and
+D = |w+ - w-|, so the same formula holds at A_w.  A position measurement
+on a pixelated screen reveals part of that correlation: a detection at pixel X
 updates the spin probabilities to q_pm(X) and yields I(X) = H - S(X) nats,
 with H the prior spin entropy (ln2 for equal weights); the mean over
 arrival positions is the spin-pixel mutual information, bounded by the
@@ -93,15 +95,18 @@ def overlap_decay(t, scales: DerivedScales):
     return float(out) if out.ndim == 0 else out
 
 
-def entanglement_entropy(t, scales: DerivedScales):
-    """(A, S_ent) at time t for the equal-weight state, S in nats.
+def entanglement_entropy(t, scales: DerivedScales, params: PhysicalParams | None = None):
+    """(A, S_ent) at time t, S in nats, with A the paper's contrast.
 
-    The closed form assumes c_pm = 1/sqrt(2); for general weights use
-    :func:`reduced_spin_density` and :func:`von_neumann_entropy`.
-    t may be a scalar or an array; t < 0 raises.
+    The spin matrix [[w+, c+c-* A], [c.c., w-]] has eigenvalues
+    (1 pm A_w)/2 with A_w = sqrt(D² + (1 - D²)A²) and D = |w+ - w-|, so
+    S_ent = entropy_from_overlap(A_w).  The weights come from `params`;
+    None means equal weights (D = 0, A_w = A).  t may be a scalar or an
+    array; t < 0 raises.
     """
     A = overlap_decay(t, scales)
-    return A, entropy_from_overlap(A)
+    D = 0.0 if params is None else _weight_contrast(params)
+    return A, entropy_from_overlap(np.sqrt(D * D + (1.0 - D * D) * A * A))
 
 
 @dataclass(frozen=True)
@@ -121,9 +126,11 @@ class EntanglementSeries:
         return self.S_ent / LN2
 
 
-def entanglement_series(scales: DerivedScales, times) -> EntanglementSeries:
+def entanglement_series(
+    scales: DerivedScales, times, params: PhysicalParams | None = None
+) -> EntanglementSeries:
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    A, S = entanglement_entropy(times, scales)
+    A, S = entanglement_entropy(times, scales, params)
     return EntanglementSeries(times=times, A_values=np.atleast_1d(A), S_ent=np.atleast_1d(S))
 
 
@@ -179,10 +186,15 @@ class ScreenDistribution:
         return float(np.sum((self.P_plus + self.P_minus) * self.I))
 
 
+def _weight_contrast(params: PhysicalParams) -> float:
+    """D = ||c+|² - |c-|²|, zero for equal weights."""
+    return abs(abs(params.c_plus) ** 2 - abs(params.c_minus) ** 2)
+
+
 def _prior_entropy(params: PhysicalParams) -> float:
-    """Entropy (nats) of the spin weights, the eigenvalues (1 pm A)/2 of
-    diag(|c+|², |c-|²) with A = ||c+|² - |c-|²|."""
-    return entropy_from_overlap(abs(abs(params.c_plus) ** 2 - abs(params.c_minus) ** 2))
+    """Entropy (nats) of the spin weights, the eigenvalues (1 pm D)/2 of
+    diag(|c+|², |c-|²)."""
+    return entropy_from_overlap(_weight_contrast(params))
 
 
 def _pixel_grid(extent, Delta: float, alignment: str) -> np.ndarray:
@@ -332,5 +344,5 @@ def information_series(params: PhysicalParams, times, *, fine_limit: bool = True
     H = np.empty_like(times)
     for i, t in enumerate(times):
         H[i] = mean_information(evolve_in_field(params, float(t)), fine_limit=fine_limit)
-    _, S = entanglement_entropy(times, scales)
+    _, S = entanglement_entropy(times, scales, params)
     return times, H, np.atleast_1d(S)

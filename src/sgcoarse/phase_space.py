@@ -225,6 +225,9 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     q values are snapped to the nearest node of rho's own grid so that
     q ± y/2 stays on the grid; the y-trapezoid is then spectrally accurate
     for the smooth decaying integrands produced by Gaussian packets.
+    The phase table cos/sin(p y/ħ) is built once per call for y ≥ 0, and
+    each row folds the integrand over ±y into its even and odd parts, so a
+    row costs two real matrix products shared by all four spin pairs.
     q, p are coordinate axes as in wigner_analytic.  The field records
     its Hermiticity and imaginary-diagonal residues (scaled units).
     """
@@ -249,18 +252,36 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     idx = np.clip(np.searchsorted(x, qa), 1, x.size - 1)
     idx = np.where(np.abs(x[idx] - qa) < np.abs(x[idx - 1] - qa), idx, idx - 1)
 
-    out = {pair: np.empty((qa.size, pa.size), dtype=complex) for pair in SPIN_PAIRS}
-    amps = {"+": rho.amp_plus, "-": rho.amp_minus}
-    for row, i in enumerate(idx):
-        m = min(i, x.size - 1 - i)
-        j = np.arange(-m, m + 1)
-        y = 2.0 * dx * j
-        phase = np.exp(-1j * np.outer(y, pa) / hbar)  # (ny, np)
-        for pair in SPIN_PAIRS:
-            r = amps[pair[0]][i + j] * np.conj(amps[pair[1]][i - j])
-            out[pair][row, :] = (r @ phase) * (2.0 * dx / (2.0 * np.pi * hbar))
-    w_pp, w_mm = out["++"], out["--"]
-    w_pm, w_mp = out["+-"], out["-+"]
+    # Half-lengths m of each row's symmetric y-window.  The phase table for
+    # -y is the conjugate of the one for +y, so only y = 2 dx j with j >= 0
+    # is tabulated, once per call, as real cos and sin tables.
+    half = np.minimum(idx, x.size - 1 - idx)
+    theta = np.outer(2.0 * dx * np.arange(int(half.max(initial=0)) + 1), pa) / hbar
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    del theta
+    amps = np.stack([rho.amp_plus, rho.amp_minus])
+    out = np.empty((4, qa.size, pa.size), dtype=complex)  # pairs ++, +-, -+, --
+    for row, (i, m) in enumerate(zip(idx, half)):
+        up = amps[:, i:i + m + 1]  # amplitudes at q + y/2, j = 0..m
+        down = amps[:, i - m:i + 1][:, ::-1]  # amplitudes at q - y/2
+        fwd = (up[:, None] * np.conj(down)[None]).reshape(4, -1)  # r(+j)
+        rev = (down[:, None] * np.conj(up)[None]).reshape(4, -1)  # r(-j)
+        # Σ_j r(j) e^{-iθ_j} = Σ_{j≥0} e_j cos θ_j - i o_j sin θ_j with the
+        # even part e = r(+j) + r(-j) (j = 0 counted once) and odd part
+        # o = r(+j) - r(-j); real and imaginary parts stacked as 8 rows.
+        even = np.empty((8, m + 1))
+        odd = np.empty((8, m + 1))
+        np.add(fwd.real, rev.real, out=even[:4])
+        np.add(fwd.imag, rev.imag, out=even[4:])
+        even[:, 0] *= 0.5
+        np.subtract(fwd.real, rev.real, out=odd[:4])
+        np.subtract(fwd.imag, rev.imag, out=odd[4:])
+        cos_part = even @ cos_t[:m + 1]
+        sin_part = odd @ sin_t[:m + 1]
+        out[:, row].real = cos_part[:4] + sin_part[4:]
+        out[:, row].imag = cos_part[4:] - sin_part[:4]
+    out *= 2.0 * dx / (2.0 * np.pi * hbar)
+    w_pp, w_pm, w_mp, w_mm = out
     herm = float(np.max(np.abs(w_mp - np.conj(w_pm)))) if w_pm.size else 0.0
     diag_imag = float(max(np.max(np.abs(w_pp.imag)), np.max(np.abs(w_mm.imag))))
     return WignerMatrixField(

@@ -21,6 +21,28 @@ def test_entropy_output(tmp_path, silver_config, run_cli, read_csv):
     assert np.all(np.diff(rows[:, 2]) >= -1e-12)
 
 
+def test_entropy_and_info_follow_unequal_weights(tmp_path, run_cli, read_csv):
+    # with |c+|^2 = 0.36 both files saturate at the prior entropy, not ln 2
+    params = sg.PhysicalParams.silver(c_plus=0.6 + 0j, c_minus=0.8 + 0j)
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("".join(f"{key} = {format(value, '.17g')}\n"
+                           for key, value in sg.params_to_entries(params).items()),
+                   encoding="utf-8")
+    prior = -(0.36 * np.log(0.36) + 0.64 * np.log(0.64))
+    out = tmp_path / "run"
+    assert run_cli(["entropy", "--config", str(cfg), "--out", str(out),
+                    "--t1", "2e-5", "--points", "5"]) == 0
+    assert run_cli(["info", "--config", str(cfg), "--out", str(out),
+                    "--points", "5"]) == 0
+    _, _, entropy = read_csv(out / "entropy.csv")
+    _, _, info = read_csv(out / "info.csv")
+    assert entropy[0, 2] == 0.0
+    assert entropy[-1, 2] == pytest.approx(prior, abs=1e-12)
+    assert info[-1, 1] == pytest.approx(prior, abs=1e-9)
+    assert info[-1, 2] == pytest.approx(prior, abs=1e-12)
+    assert np.all(info[:, 1] <= info[:, 2] + 1e-9)
+
+
 def test_density_output(tmp_path, silver_config, run_cli, read_csv):
     out = tmp_path / "run"
     code = run_cli(["density", "--config", silver_config, "--out", str(out),

@@ -187,3 +187,27 @@ def test_mean_information_with_unequal_weights(w_plus, scales):
         state = sg.evolve_in_field(params, float(t))
         bound = sg.von_neumann_entropy(sg.reduced_spin_density(state))
         assert sg.mean_information(state) <= bound + 1e-12
+
+
+@given(w_plus=st.floats(min_value=0.01, max_value=0.99),
+       phase=st.floats(min_value=0.0, max_value=2.0 * np.pi),
+       frac=st.floats(min_value=0.0, max_value=4.0))
+def test_entanglement_entropy_with_unequal_weights(w_plus, phase, frac, scales):
+    # S_ent is the entropy of the spin matrix whose coherence is the
+    # paper's contrast A: zero at t = 0, the prior entropy once A -> 0
+    c_plus = np.sqrt(w_plus) * np.exp(1j * phase)
+    c_minus = complex(np.sqrt(1.0 - w_plus))
+    params = sg.PhysicalParams.silver(c_plus=c_plus, c_minus=c_minus)
+    prior = -(xlogy(w_plus, w_plus) + xlogy(1.0 - w_plus, 1.0 - w_plus))
+    t = frac * scales.tau3
+    overlap, entropy = sg.entanglement_entropy(t, scales, params)
+    assert overlap == sg.overlap_decay(t, scales)
+    off = c_plus * np.conj(c_minus) * overlap
+    rho = np.array([[abs(c_plus) ** 2, off], [np.conj(off), abs(c_minus) ** 2]])
+    assert abs(entropy - sg.von_neumann_entropy(rho)) <= 1e-12
+    assert abs(sg.entanglement_entropy(0.0, scales, params)[1]) <= 1e-12
+    assert abs(sg.entanglement_entropy(10.0 * scales.tau3, scales, params)[1] - prior) <= 1e-12
+    series = sg.entanglement_series(scales, [t], params)
+    assert series.S_ent[0] == entropy
+    _, _, s_info = sg.information_series(params, np.array([t]))
+    assert s_info[0] == entropy

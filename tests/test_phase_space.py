@@ -8,6 +8,7 @@ from scipy import integrate
 
 import sgcoarse as sg
 from sgcoarse import cli
+from sgcoarse.phase_space import SPIN_PAIRS
 
 # single-pixel averages at (q, p) = (+1e-6 m, 0) for t = 3e-5 s with the
 # default 1e-6 m x 100h/1e-6 pixel, in scaled (dimensionless) units;
@@ -106,6 +107,73 @@ def test_numeric_transform_guards(state_early):
     sparse = sg.density_matrix(state_early, np.linspace(-5e-6, 5e-6, 64))
     with pytest.raises(sg.ResolutionError):
         sg.wigner_numeric(sparse, np.array([0.0]), np.array([1e-25]))
+
+
+def _reference_wigner_numeric(rho, q, p):
+    """Per-row loop of the unfolded transform: a full exp(-i p y / hbar)
+    table for each q row and one vector-matrix product per spin pair.
+    Returns the four complex blocks and the two residues (times hbar)."""
+    x, hbar = rho.x, rho.params.hbar
+    dx = float(x[1] - x[0])
+    idx = np.clip(np.searchsorted(x, q), 1, x.size - 1)
+    idx = np.where(np.abs(x[idx] - q) < np.abs(x[idx - 1] - q), idx, idx - 1)
+    out = {pair: np.empty((q.size, p.size), dtype=complex) for pair in SPIN_PAIRS}
+    amps = {"+": rho.amp_plus, "-": rho.amp_minus}
+    for row, i in enumerate(idx):
+        m = min(i, x.size - 1 - i)
+        j = np.arange(-m, m + 1)
+        y = 2.0 * dx * j
+        phase = np.exp(-1j * np.outer(y, p) / hbar)
+        for pair in SPIN_PAIRS:
+            r = amps[pair[0]][i + j] * np.conj(amps[pair[1]][i - j])
+            out[pair][row, :] = (r @ phase) * (2.0 * dx / (2.0 * np.pi * hbar))
+    herm = float(np.max(np.abs(out["-+"] - np.conj(out["+-"]))))
+    diag_imag = float(max(np.max(np.abs(out["++"].imag)), np.max(np.abs(out["--"].imag))))
+    return out, herm * hbar, diag_imag * hbar
+
+
+@pytest.mark.parametrize("weights", [None, (0.6, 0.8j)])
+def test_folded_numeric_transform_matches_the_per_row_loop(silver, weights):
+    params = silver
+    if weights is not None:
+        params = dataclasses.replace(silver, c_plus=weights[0], c_minus=weights[1])
+    state = sg.evolve_in_field(params, 1.0e-5)
+    dx = 3.5e-9  # resolves |p| <= 3 momentum widths at this time
+    x = dx * (np.arange(401) - 200.0)
+    rho = sg.density_matrix(state, x)
+    q = np.array([
+        x[0] - 7.0 * dx, x[0] - 0.2 * dx, x[0],        # beyond and at the low end
+        x[3] + 0.3 * dx, x[150] + 0.5 * dx, x[200],    # between nodes, centre
+        x[261] - 0.45 * dx, x[-1], x[-1] + 3.0 * dx,   # at and beyond the high end
+    ])
+    width_p = params.hbar / (np.sqrt(2.0) * params.sigma)
+    p = np.concatenate([np.linspace(-3.0 * width_p, 3.0 * width_p, 7), [1e-30]])
+    field = sg.wigner_numeric(rho, q, p)
+    want, herm, diag_imag = _reference_wigner_numeric(rho, q, p)
+    peak = max(float(np.max(np.abs(block))) for block in want.values())
+    assert peak * params.hbar > 1e-3
+    for pair in SPIN_PAIRS:
+        dev = float(np.max(np.abs(field.block(pair) - want[pair])))
+        assert dev <= 1e-12 * peak, pair
+    assert abs(field.hermiticity_residue - herm) <= 1e-12 * peak * params.hbar
+    assert abs(field.diag_imag_residue - diag_imag) <= 1e-12 * peak * params.hbar
+
+
+def test_numeric_transform_resolves_the_cross_window(state_early, silver):
+    # the bench's window_cross shape: dq a quarter of the fringe spacing
+    # hbar/(2 F t), p over +-6 momentum widths, on an adapted rho grid
+    fringe = silver.hbar / (2.0 * silver.force * state_early.t)
+    width_p = silver.hbar / (np.sqrt(2.0) * silver.sigma)
+    q = 0.25 * fringe * (np.arange(16) - 7.5)
+    p = np.linspace(-6.0 * width_p, 6.0 * width_p, 16)
+    analytic = sg.wigner_field(state_early, q, p, method="analytic")
+    numeric = sg.wigner_field(state_early, q, p, method="numeric")
+    pairs = ("++", "--", "+-")
+    peak = max(float(np.max(np.abs(analytic.block(k)))) for k in pairs)
+    assert peak * silver.hbar >= 0.1
+    for pair in pairs:
+        dev = float(np.max(np.abs(analytic.block(pair) - numeric.block(pair))))
+        assert dev <= 1e-9 * peak, pair
 
 
 def test_pixel_spec_validation():
