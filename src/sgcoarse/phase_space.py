@@ -486,9 +486,13 @@ def _box_average_form(
     reach = _SUPPORT_SIGMAS / math.sqrt(-a_v)
     lo = np.maximum(-hv, v_star - reach)
     hi = np.minimum(hv, v_star + reach)
+    # Cells whose window misses the support are exactly zero; the node loop
+    # runs on the live cells only, flattened.
     live = hi > lo
-    lo = np.where(live, lo, 0.0)
-    hi = np.where(live, hi, 0.0)
+    qh = np.broadcast_to(qh, live.shape)[live]
+    ph = np.broadcast_to(ph, live.shape)[live]
+    lo = lo[live]
+    hi = hi[live]
 
     # Composite Gauss-Legendre in v: panel width short enough to resolve
     # both the Gaussian envelope (scale 1/sqrt|A_v|) and the v-phase rate.
@@ -502,7 +506,7 @@ def _box_average_form(
     offsets = [(k + xk) / n_panels for k in range(n_panels) for xk in xg]
     weights = [wk / n_panels for _ in range(n_panels) for wk in wg]
 
-    acc = np.zeros(np.broadcast(qh, ph).shape, dtype=complex)
+    acc = np.zeros(qh.shape, dtype=complex)
     width = hi - lo
     for xk, wk in zip(offsets, weights):
         v = lo + width * xk
@@ -523,7 +527,9 @@ def _box_average_form(
             + 1j * ki * s
         )
         acc = acc + (wk * width) * np.exp(e0) * j
-    return np.where(live, acc, 0.0) / (4.0 * hu * hv)
+    out = np.zeros(live.shape, dtype=complex)
+    out[live] = acc / (4.0 * hu * hv)
+    return out
 
 
 def coarse_grain(field: WignerMatrixField, pix: CoarsePixelSpec) -> WignerMatrixField:

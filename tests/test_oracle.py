@@ -1,8 +1,10 @@
 """Split-operator grid integrator against the closed forms."""
 
+import numpy as np
 import pytest
 
 import sgcoarse as sg
+from sgcoarse.dynamics import branch_sign
 
 
 def test_closed_forms_within_tolerance(oracle_report):
@@ -79,3 +81,72 @@ def test_grid_argument_validation(silver, scales):
         sg.evolve_grid(silver, -1.0)
     with pytest.raises(ValueError):
         sg.make_grid_state(silver, n=8)
+
+
+def _reference_step_split_operator(state, dt, params=None):
+    """One Strang step per branch, every factor rebuilt: the plain form of
+    the batched step."""
+    params = state.params if params is None else params
+    dts = state.units.scale_time(dt)
+    a = state.units.scale_accel(params.accel)
+    k = 2.0 * np.pi * np.fft.fftfreq(state.x.size, d=state.dx)
+    drift = np.exp(-1j * k**2 * dts / 2.0)
+    new = {}
+    drift_max = state.step_norm_drift
+    for branch, psi in (("+", state.psi_plus), ("-", state.psi_minus)):
+        kick = np.exp(1j * branch_sign(branch) * a * state.x * dts / 2.0)
+        out = kick * psi
+        out = np.fft.ifft(np.fft.fft(out) * drift)
+        out = kick * out
+        n_in = np.sum(np.abs(psi) ** 2)
+        n_out = np.sum(np.abs(out) ** 2)
+        drift_max = max(drift_max, float(abs(n_out / n_in - 1.0)))
+        new[branch] = out
+    return sg.GridState(
+        params=params, units=state.units, x=state.x, dx=state.dx, t=state.t + dts,
+        psi_plus=new["+"], psi_minus=new["-"], step_norm_drift=drift_max,
+    )
+
+
+_F = sg.PhysicalParams.silver().force
+
+
+@pytest.mark.parametrize(
+    "force, dt_later, force_later",
+    [
+        (_F, None, None),  # silver
+        (-_F, None, None),
+        (0.0, None, None),
+        (_F, 1.7e-9, None),  # dt changes after 100 steps
+        (_F, None, -2.0 * _F),  # params= override after 100 steps
+    ],
+    ids=["silver", "negative-F", "zero-F", "dt-change", "params-override"],
+)
+def test_step_matches_per_branch_reference(force, dt_later, force_later):
+    params = sg.PhysicalParams.silver(force=force)
+    later = None if force_later is None else sg.PhysicalParams.silver(force=force_later)
+    dt = 2.5e-9
+    new = ref = sg.make_grid_state(params, n=1024)
+    for step in range(200):
+        if step == 100 and dt_later is not None:
+            dt = dt_later
+        override = later if step >= 100 else None
+        new = sg.step_split_operator(new, dt, override)
+        ref = _reference_step_split_operator(ref, dt, override)
+    assert new.t == ref.t
+    for branch in "+-":
+        peak = np.max(np.abs(ref.psi(branch)))
+        assert np.max(np.abs(new.psi(branch) - ref.psi(branch))) <= 1e-12 * peak
+
+
+def test_step_norm_drift_is_measured_each_step(silver, scales):
+    dt = sg.default_dt(silver, scales.tau3)
+    states = [sg.make_grid_state(silver)]
+    for _ in range(5):
+        states.append(sg.step_split_operator(states[-1], dt))
+    want = max(
+        abs(float(np.sum(np.abs(b.psi(s)) ** 2) / np.sum(np.abs(a.psi(s)) ** 2)) - 1.0)
+        for a, b in zip(states, states[1:])
+        for s in "+-"
+    )
+    assert abs(states[-1].step_norm_drift - want) <= 1e-16

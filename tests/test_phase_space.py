@@ -1,6 +1,7 @@
 """Wigner matrix fields, pixel averaging, and the interference bookkeeping."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from scipy import integrate
 
 import sgcoarse as sg
 from sgcoarse import cli
-from sgcoarse.phase_space import SPIN_PAIRS
+from sgcoarse.numerics import gauss_legendre_nodes, osc_gauss_window
+from sgcoarse.phase_space import (
+    _SUPPORT_SIGMAS,
+    SPIN_PAIRS,
+    _box_average_form,
+    _pair_form,
+)
 
 # single-pixel averages at (q, p) = (+1e-6 m, 0) for t = 3e-5 s with the
 # default 1e-6 m x 100h/1e-6 pixel, in scaled (dimensionless) units;
@@ -359,3 +366,88 @@ def test_post_field_coarse_pixels_suppress_interference(silver):
 def test_post_field_fringe_scale_follows_the_exit_time(state_post, silver):
     want = silver.hbar / (2.0 * silver.force * state_post.t_exit)
     assert sg.measure_oscillation_scale(state_post) == pytest.approx(want, rel=1e-6)
+
+
+def _reference_box_average_form(form, qh, ph, hu, hv):
+    """Full-grid box average: the node loop runs on every cell and the dead
+    ones are masked to zero at the end."""
+    cqq, cpp, cqp = form.cqq, form.cpp, form.cqp
+    ki = float(form.cq.imag)
+    a_v = -cpp + cqp * cqp / (4.0 * cqq)
+    l0 = 2.0 * cqq * qh + form.cq + cqp * ph
+    b_v = -2.0 * cpp * ph - cqp * qh - form.cp.real + cqp * l0.real / (2.0 * cqq)
+    v_star = np.real(b_v) / (-2.0 * a_v)
+    reach = _SUPPORT_SIGMAS / math.sqrt(-a_v)
+    lo = np.maximum(-hv, v_star - reach)
+    hi = np.minimum(hv, v_star + reach)
+    live = hi > lo
+    lo = np.where(live, lo, 0.0)
+    hi = np.where(live, hi, 0.0)
+    rate = abs(-form.cp.imag + ki * cqp / (2.0 * cqq))
+    span = min(2.0 * hv, 2.0 * reach)
+    panel = 2.0 / math.sqrt(-a_v)
+    if rate > 0.0:
+        panel = min(panel, 8.0 / rate)
+    n_panels = min(max(1, math.ceil(span / panel)), 64)
+    xg, wg = gauss_legendre_nodes(0.0, 1.0, 12)
+    offsets = [(k + xk) / n_panels for k in range(n_panels) for xk in xg]
+    weights = [wk / n_panels for _ in range(n_panels) for wk in wg]
+    acc = np.zeros(np.broadcast(qh, ph).shape, dtype=complex)
+    width = hi - lo
+    for xk, wk in zip(offsets, weights):
+        v = lo + width * xk
+        pv = ph + v
+        lu = 2.0 * cqq * qh + form.cq + cqp * pv
+        lr = lu.real
+        s = lr / (2.0 * cqq)
+        j = osc_gauss_window(-hu + s, hu + s, cqq, -ki)
+        e0 = (
+            form.log_pref
+            - cqq * qh**2
+            - cpp * pv**2
+            - cqp * qh * pv
+            - form.cq * qh
+            - form.cp * pv
+            - form.c0
+            + lr * lr / (4.0 * cqq)
+            + 1j * ki * s
+        )
+        acc = acc + (wk * width) * np.exp(e0) * j
+    return np.where(live, acc, 0.0) / (4.0 * hu * hv)
+
+
+def _scaled_coarse_inputs(state, q, p):
+    u = state.units
+    pix = sg.CoarsePixelSpec.default()
+    return (np.asarray(u.scale_length(q), dtype=float).reshape(-1, 1),
+            np.asarray(u.scale_momentum(p), dtype=float).reshape(1, -1),
+            0.5 * u.scale_length(pix.Delta), 0.5 * u.scale_momentum(pix.delta))
+
+
+@pytest.mark.parametrize("t", [1e-6, 3e-5])
+def test_live_cell_box_average_is_bit_identical(silver, t):
+    state = sg.evolve_in_field(silver, t)
+    q, p = sg.default_phase_space_grid(silver, t, n_q=128, n_p=128)
+    qh, ph, hu, hv = _scaled_coarse_inputs(state, q, p)
+    for pair in ("++", "--", "+-"):
+        form = _pair_form(state, pair)
+        got = _box_average_form(form, qh, ph, hu, hv)
+        want = _reference_box_average_form(form, qh, ph, hu, hv)
+        assert got.shape == want.shape == (128, 128)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_box_average_with_no_live_or_all_live_cells(silver):
+    state = sg.evolve_in_field(silver, 1e-6)
+    hbar_over_sigma = silver.hbar / silver.sigma
+    q = np.linspace(-3.0 * silver.sigma, 3.0 * silver.sigma, 8)
+    far = np.linspace(1000.0, 1010.0, 6) * hbar_over_sigma  # the pixel reaches ±314 hbar/sigma
+    near = np.linspace(-1.0, 1.0, 6) * hbar_over_sigma
+    for p, all_live in ((far, False), (near, True)):
+        qh, ph, hu, hv = _scaled_coarse_inputs(state, q, p)
+        for pair in ("++", "--", "+-"):
+            form = _pair_form(state, pair)
+            got = _box_average_form(form, qh, ph, hu, hv)
+            want = _reference_box_average_form(form, qh, ph, hu, hv)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.all(got != 0) if all_live else not np.any(got)
