@@ -201,13 +201,13 @@ def _cmd_wigner(args, params: PhysicalParams, settings) -> int:
             echo["Delta_m"] = _fmt(delta_m)
             echo["delta_kgm_s"] = _fmt(delta_p)
             echo["coarse_grid"] = f"{nc_q}x{nc_p}"
-        columns = (
-            "q [m], p [kg m/s], W_pp W_mm Re_W_pm Im_W_pm W_proj_x [1/(J s)]"
+        header = _header(
+            "wigner", params, echo,
+            "q [m], p [kg m/s], W_pp W_mm Re_W_pm Im_W_pm W_proj_x [1/(J s)]",
         )
 
         field = wigner_field(state, n_q=n_q, n_p=n_p, method="analytic")
         proj = project_spin_direction(field, x_hat)
-        header = _header("wigner", params, echo, columns)
         name = f"wigner_t{t:g}.csv"
         _write_csv(os.path.join(args.out, name), header,
                    WIGNER_CSV_HEADER + ",W_proj_x", _wigner_rows(field, proj))
@@ -217,7 +217,6 @@ def _cmd_wigner(args, params: PhysicalParams, settings) -> int:
             fine = wigner_field(state, q, p, method="analytic")
             bar = coarse_grain(fine, CoarsePixelSpec(Delta=delta_m, delta=delta_p))
             proj_bar = project_spin_direction(bar, x_hat)
-            header = _header("wigner", params, echo, columns)
             name = f"wigner_coarse_t{t:g}.csv"
             _write_csv(os.path.join(args.out, name), header,
                        WIGNER_CSV_HEADER + ",W_proj_x", _wigner_rows(bar, proj_bar))

@@ -294,13 +294,6 @@ def parse_config_text(text: str) -> dict[str, float]:
     return entries
 
 
-def params_from_config(path: str) -> PhysicalParams:
-    """Load run parameters from a UTF-8 config file."""
-    with open(path, encoding="utf-8") as fh:
-        entries = parse_config_text(fh.read())
-    return params_from_entries(entries)
-
-
 def params_from_entries(entries: dict[str, float]) -> PhysicalParams:
     for key in ("mass_kg", "sigma_m"):
         if key not in entries:

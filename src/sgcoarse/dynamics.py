@@ -38,7 +38,7 @@ import numpy as np
 from .core import PhysicalParams, UnitSystem
 
 BRANCHES = ("+", "-")
-KERNEL_BLOCKS = ("++", "--", "+-", "-+")
+SPIN_PAIRS = ("++", "--", "+-", "-+")
 
 
 def branch_sign(branch: str) -> int:
@@ -219,8 +219,8 @@ def kernel(block: str, x, x_i, t: float, params: PhysicalParams):
     block is one of '++', '--', '+-', '-+'.  t must be positive: the kernel
     is distributional at t = 0.
     """
-    if block not in KERNEL_BLOCKS:
-        raise ValueError(f"block must be one of {KERNEL_BLOCKS}, got {block!r}")
+    if block not in SPIN_PAIRS:
+        raise ValueError(f"block must be one of {SPIN_PAIRS}, got {block!r}")
     if t <= 0.0:
         raise ValueError(f"kernel requires t > 0, got {t}")
     x = np.asarray(x, dtype=float)

@@ -337,12 +337,12 @@ def mean_information(
     return float(min(max(val, 0.0), prior))
 
 
-def information_series(params: PhysicalParams, times, *, fine_limit: bool = True):
+def information_series(params: PhysicalParams, times):
     """(times, H, S_ent) arrays over a sweep of in-field evolution times."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     scales = derive_scales(params)
     H = np.empty_like(times)
     for i, t in enumerate(times):
-        H[i] = mean_information(evolve_in_field(params, float(t)), fine_limit=fine_limit)
+        H[i] = mean_information(evolve_in_field(params, float(t)))
     _, S = entanglement_entropy(times, scales, params)
     return times, H, np.atleast_1d(S)

@@ -255,8 +255,6 @@ class OracleRow:
     l2_err_minus: float
     overlap_dev: float
     norm_drift: float  # max per-step relative drift (the unitarity bound)
-    linf_err_plus: float = 0.0  # supplementary, not part of the CSV schema
-    linf_err_minus: float = 0.0
     cum_norm_drift: float = 0.0  # |final norm - 1|, grows with step count
 
 
@@ -280,16 +278,14 @@ class OracleReport:
         return max(r.norm_drift for r in self.rows)
 
 
-def _branch_errors(grid: GridState, exact: SpinorWavepacket, branch: str) -> tuple[float, float]:
-    """Relative L2 and L∞ error of the grid branch against the closed form."""
+def _branch_error(grid: GridState, exact: SpinorWavepacket, branch: str) -> float:
+    """Relative L2 error of the grid branch against the closed form."""
     x_si = grid.units.unscale_length(grid.x)
     ref = exact.amplitude(branch, x_si, weighted=False) / grid.units.amplitude
     diff = np.abs(grid.psi(branch) - ref)
     num = np.sum(diff**2) * grid.dx
     den = np.sum(np.abs(ref) ** 2) * grid.dx
-    l2 = float(np.sqrt(num / den))
-    linf = float(diff.max() / np.abs(ref).max())
-    return l2, linf
+    return float(np.sqrt(num / den))
 
 
 def verify_closed_forms(
@@ -305,17 +301,13 @@ def verify_closed_forms(
         grid = evolve_grid(params, t, dt=dt, n=n, half_width=half_width)
         exact = evolve_in_field(params, t)
         ov_exact = exact.branch_overlap()
-        l2p, lip = _branch_errors(grid, exact, "+")
-        l2m, lim = _branch_errors(grid, exact, "-")
         rows.append(
             OracleRow(
                 t=float(t),
-                l2_err_plus=l2p,
-                l2_err_minus=l2m,
+                l2_err_plus=_branch_error(grid, exact, "+"),
+                l2_err_minus=_branch_error(grid, exact, "-"),
                 overlap_dev=abs(grid.overlap() - ov_exact),
                 norm_drift=grid.step_norm_drift,
-                linf_err_plus=lip,
-                linf_err_minus=lim,
                 cum_norm_drift=max(abs(grid.norm(b) - 1.0) for b in ("+", "-")),
             )
         )
@@ -339,6 +331,6 @@ def convergence_order(
     for lvl in range(levels):
         dt = dt0 / 2**lvl
         grid = evolve_grid(params, t, dt=dt, n=n, half_width=half_width)
-        errs.append(_branch_errors(grid, exact, "+")[0])
+        errs.append(_branch_error(grid, exact, "+"))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     return errs, orders

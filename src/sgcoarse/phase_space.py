@@ -30,13 +30,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .core import HBAR, PhysicalParams, ResolutionError, UnitSystem
-from .dynamics import SpinorWavepacket, branch_sign
+from .dynamics import SPIN_PAIRS, SpinorWavepacket
 from .numerics import gauss_legendre_nodes, gauss_window, osc_gauss_window
-
-SPIN_PAIRS = ("++", "--", "+-", "-+")
 
 DEFAULT_PIXEL_DELTA_M = 1e-6
 DEFAULT_CELL_RATIO = 100.0
@@ -56,47 +53,6 @@ class DensityMatrixField:
     x: np.ndarray  # m, strictly increasing
     amp_plus: np.ndarray  # c₊φ₊(x), 1/√m
     amp_minus: np.ndarray
-
-    def amp(self, branch: str) -> np.ndarray:
-        return self.amp_plus if branch_sign(branch) > 0 else self.amp_minus
-
-    def block(self, pair: str) -> np.ndarray:
-        """ρ_αβ(x,x') as a dense (n, n) array, row index x, column x'."""
-        if pair not in SPIN_PAIRS:
-            raise ValueError(f"pair must be one of {SPIN_PAIRS}, got {pair!r}")
-        return np.outer(self.amp(pair[0]), np.conj(self.amp(pair[1])))
-
-    def diagonal_density(self) -> np.ndarray:
-        """Σ_α ρ_αα(x,x) = |c₊φ₊|² + |c₋φ₋|², 1/m."""
-        return np.abs(self.amp_plus) ** 2 + np.abs(self.amp_minus) ** 2
-
-    def hermiticity_defect(self) -> float:
-        """max |ρ_αβ(x,x') - ρ_βα*(x',x)| over blocks and grid points.
-
-        Relative to the largest matrix element, so the value is scale free
-        (ρ carries units of 1/m on the position diagonal).
-        """
-        worst = 0.0
-        scale = 0.0
-        for pair in ("++", "--", "+-"):
-            swapped = pair[::-1]
-            b = self.block(pair)
-            d = np.abs(b - np.conj(self.block(swapped)).T)
-            worst = max(worst, float(d.max()))
-            scale = max(scale, float(np.abs(b).max()))
-        return worst / scale if scale > 0.0 else worst
-
-    def purity(self) -> float:
-        """Tr ρ² over the discretized joint (position ⊗ spin) space.
-
-        For rank-one blocks ρ_αβ = a_α ⊗ a_β* the double integral collapses
-        to (Σ_α ∫|a_α|²)², the squared total norm.
-        """
-        w = np.gradient(self.x)
-        total = float(
-            np.sum(w * (np.abs(self.amp_plus) ** 2 + np.abs(self.amp_minus) ** 2))
-        )
-        return total * total
 
 
 def density_matrix(state: SpinorWavepacket, grid) -> DensityMatrixField:
@@ -213,10 +169,25 @@ def wigner_analytic(state: SpinorWavepacket, q, p) -> WignerMatrixField:
 # numeric Wigner transform
 
 
-def _numeric_state_wavenumber(params: PhysicalParams, t: float) -> float:
-    """Scaled bound on the phase gradient carried by the state itself."""
+def _numeric_spacing_bound(params: PhysicalParams, t: float, p_max: float) -> float:
+    """Largest x spacing (m) at which the direct transform resolves momenta
+    up to |p_max| on top of the phase gradient k_state of the state itself:
+    π/(8(|p_max|/ħ + k_state))."""
     u = UnitSystem.for_params(params)
-    return abs(u.scale_accel(params.accel)) * u.scale_time(t) + 10.0
+    k_state = (abs(u.scale_accel(params.accel)) * u.scale_time(t) + 10.0) / params.sigma
+    return np.pi / (8.0 * (abs(p_max) / params.hbar + k_state))
+
+
+def _uniform_spacing(a: np.ndarray, what: str) -> float:
+    """The step of the uniform grid `a`; any unequal step raises ValueError.
+
+    atol is 0 because grid steps in metres are far below numpy's default
+    absolute tolerance of 1e-8.
+    """
+    d = float(a[1] - a[0])
+    if not np.allclose(np.diff(a), d, rtol=1e-9, atol=0.0):
+        raise ValueError(f"{what} must be uniformly spaced")
+    return d
 
 
 def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
@@ -234,15 +205,12 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     x = rho.x
     if x.size < 3:
         raise ValueError("density matrix grid too small for a transform")
-    dx = float(x[1] - x[0])
-    if not np.allclose(np.diff(x), dx, rtol=1e-9):
-        raise ValueError("wigner_numeric requires a uniform grid")
+    dx = _uniform_spacing(x, "the density matrix grid of wigner_numeric")
     qa = np.atleast_1d(np.asarray(q, dtype=float))
     pa = np.atleast_1d(np.asarray(p, dtype=float))
     hbar = rho.params.hbar
-    k_state = _numeric_state_wavenumber(rho.params, rho.t) / rho.params.sigma
     p_max = float(np.max(np.abs(pa))) if pa.size else 0.0
-    need = np.pi / (8.0 * (p_max / hbar + k_state))
+    need = _numeric_spacing_bound(rho.params, rho.t, p_max)
     if dx > need:
         raise ResolutionError(
             f"Wigner transform undersampled at |p| = {p_max:.6e} kg m/s: "
@@ -298,12 +266,13 @@ def density_grid_for_wigner(
     pad_widths: float = 14.0,
 ) -> DensityMatrixField:
     """Sample a density matrix on a uniform grid aligned with the q nodes and
-    fine enough for wigner_numeric at momenta up to |p_max|."""
+    fine enough for wigner_numeric at momenta up to |p_max|.  The q nodes
+    must be uniformly spaced, since wigner_numeric snaps each q to a node."""
     qa = np.asarray(q, dtype=float)
-    dq = float(qa[1] - qa[0]) if qa.size > 1 else state.params.sigma
-    hbar = state.params.hbar
-    k_state = _numeric_state_wavenumber(state.params, state.t) / state.params.sigma
-    need = np.pi / (8.0 * (abs(p_max) / hbar + k_state))
+    dq = state.params.sigma
+    if qa.size > 1:
+        dq = _uniform_spacing(qa, "the q axis of a numeric Wigner field")
+    need = _numeric_spacing_bound(state.params, state.t, p_max)
     r = max(1, math.ceil(dq / (0.9 * need)))
     dx = dq / r
     width = math.sqrt(state.variance("+"))
@@ -350,10 +319,11 @@ class WignerMatrixField:
 
     Diagonal blocks are stored real; W₋₊ is the conjugate of the stored
     W₊₋, so the field is Hermitian by construction.  `source` keeps the
-    generating state when the field came from the closed form (enabling
-    exact marginals and analytic coarse graining); `pixels` is set on
-    coarse-grained fields.  The residues are recorded by the numeric
-    transform and by analytic coarse graining.
+    generating state when the field came from the closed form; marginals,
+    totals and coarse graining need it and raise ValueError without it, so
+    numeric and coarse fields can only be compared block by block.
+    `pixels` is set on coarse-grained fields.  The residues are recorded by
+    the numeric transform and by analytic coarse graining.
     """
 
     params: PhysicalParams
@@ -383,36 +353,40 @@ class WignerMatrixField:
             return self.w_mp
         raise ValueError(f"pair must be one of {SPIN_PAIRS}, got {pair!r}")
 
+    def _closed_form(self) -> SpinorWavepacket:
+        """The Gaussian state behind the field; raises for sampled fields."""
+        if self.source is None:
+            raise ValueError(
+                "needs a closed-form Wigner field: numeric and coarse fields "
+                "have no Gaussian source and can only be compared block by block"
+            )
+        return self.source
+
     def marginal_position(self, pair: str = "++") -> np.ndarray:
         """∫ W_αβ(q,p) dp on the q nodes (1/m).
 
-        Fields carrying an analytic source integrate p in closed form, so
-        the result is exact regardless of the stored p sampling; other
-        fields fall back to the trapezoid on their own p grid.
+        p is integrated in closed form, so the result is exact regardless
+        of the stored p sampling.
         """
-        if self.source is not None:
-            u = self.source.units
-            form = _pair_form(self.source, pair)
-            qh = np.asarray(u.scale_length(self.q), dtype=float)
-            lp = form.cp + form.cqp * qh
-            ex = (
-                form.log_pref
-                - form.cqq * qh**2
-                - form.cq * qh
-                - form.c0
-                + lp**2 / (4.0 * form.cpp)
-            )
-            val = np.exp(ex) * np.sqrt(np.pi / form.cpp)
-            return u.unscale_density(val)
-        return np.trapezoid(self.block(pair), x=self.p, axis=1)
+        state = self._closed_form()
+        u = state.units
+        form = _pair_form(state, pair)
+        qh = np.asarray(u.scale_length(self.q), dtype=float)
+        lp = form.cp + form.cqp * qh
+        ex = (
+            form.log_pref
+            - form.cqq * qh**2
+            - form.cq * qh
+            - form.c0
+            + lp**2 / (4.0 * form.cpp)
+        )
+        val = np.exp(ex) * np.sqrt(np.pi / form.cpp)
+        return u.unscale_density(val)
 
     def total(self) -> float:
-        """∬ (W₊₊ + W₋₋) dq dp."""
-        if self.source is not None:
-            dens = self.marginal_position("++") + self.marginal_position("--")
-            return float(np.trapezoid(dens.real, x=self.q))
-        dens = self.w_pp + self.w_mm
-        return float(np.trapezoid(np.trapezoid(dens, x=self.p, axis=1), x=self.q))
+        """∬ (W₊₊ + W₋₋) dq dp: exact in p, trapezoid over the q nodes."""
+        dens = self.marginal_position("++") + self.marginal_position("--")
+        return float(np.trapezoid(dens.real, x=self.q))
 
 
 WIGNER_CSV_HEADER = "q,p,W_pp,W_mm,Re_W_pm,Im_W_pm"
@@ -515,17 +489,7 @@ def _box_average_form(
         lr = lu.real
         s = lr / (2.0 * cqq)
         j = osc_gauss_window(-hu + s, hu + s, cqq, -ki)
-        e0 = (
-            form.log_pref
-            - cqq * qh**2
-            - cpp * pv**2
-            - cqp * qh * pv
-            - form.cq * qh
-            - form.cp * pv
-            - form.c0
-            + lr * lr / (4.0 * cqq)
-            + 1j * ki * s
-        )
+        e0 = form.exponent(qh, pv) + lr * lr / (4.0 * cqq) + 1j * ki * s
         acc = acc + (wk * width) * np.exp(e0) * j
     out = np.zeros(live.shape, dtype=complex)
     out[live] = acc / (4.0 * hu * hv)
@@ -535,68 +499,27 @@ def _box_average_form(
 def coarse_grain(field: WignerMatrixField, pix: CoarsePixelSpec) -> WignerMatrixField:
     """Average every Wigner matrix entry over a Δ×δ pixel window.
 
-    Fields with an analytic source are averaged in closed form (exact up to
-    the Legendre momentum quadrature); sampled fields use a midpoint
-    composite rule on their own grid with window clipping at the edges.
+    The average is taken in closed form over the field's Gaussian source
+    (exact up to the Legendre momentum quadrature), so the field must come
+    from the closed form; numeric and coarse fields raise ValueError.
     """
-    if field.source is not None:
-        state = field.source
-        u = state.units
-        qh = np.asarray(u.scale_length(field.q), dtype=float).reshape(-1, 1)
-        ph = np.asarray(u.scale_momentum(field.p), dtype=float).reshape(1, -1)
-        hu = 0.5 * u.scale_length(pix.Delta)
-        hv = 0.5 * u.scale_momentum(pix.delta)
-        blocks = {}
-        for pair in ("++", "--", "+-"):
-            w = _box_average_form(_pair_form(state, pair), qh, ph, hu, hv)
-            blocks[pair] = u.unscale_wigner(w)
-        return WignerMatrixField(
-            params=field.params, t=field.t, q=field.q, p=field.p,
-            w_pp=blocks["++"].real, w_mm=blocks["--"].real, w_pm=blocks["+-"],
-            source=None, pixels=pix,
-            diag_imag_residue=float(
-                max(np.max(np.abs(blocks["++"].imag)), np.max(np.abs(blocks["--"].imag)))
-            ),
-        )
-    return _coarse_grain_sampled(field, pix)
-
-
-def _coarse_grain_sampled(field: WignerMatrixField, pix: CoarsePixelSpec) -> WignerMatrixField:
-    """Midpoint-composite window average over the field's own samples."""
-    dq = float(field.q[1] - field.q[0]) if field.q.size > 1 else pix.Delta
-    dp = float(field.p[1] - field.p[0]) if field.p.size > 1 else pix.delta
-    m_u = max(3, 2 * math.ceil(pix.Delta / (2.0 * dq)) + 1)
-    m_v = max(3, 2 * math.ceil(pix.delta / (2.0 * dp)) + 1)
-    du = pix.Delta / m_u
-    dv = pix.delta / m_v
-    us = (np.arange(m_u) - (m_u - 1) / 2.0) * du
-    vs = (np.arange(m_v) - (m_v - 1) / 2.0) * dv
-    out = {}
+    state = field._closed_form()
+    u = state.units
+    qh = np.asarray(u.scale_length(field.q), dtype=float).reshape(-1, 1)
+    ph = np.asarray(u.scale_momentum(field.p), dtype=float).reshape(1, -1)
+    hu = 0.5 * u.scale_length(pix.Delta)
+    hv = 0.5 * u.scale_momentum(pix.delta)
+    blocks = {}
     for pair in ("++", "--", "+-"):
-        vals = field.block(pair)
-        interp_r = RegularGridInterpolator(
-            (field.q, field.p), vals.real, bounds_error=False, fill_value=0.0
-        )
-        interp_i = None
-        if np.iscomplexobj(vals):
-            interp_i = RegularGridInterpolator(
-                (field.q, field.p), vals.imag, bounds_error=False, fill_value=0.0
-            )
-        acc = np.zeros((field.q.size, field.p.size), dtype=complex)
-        qq, pp = np.meshgrid(field.q, field.p, indexing="ij")
-        pts = np.empty(qq.shape + (2,))
-        for uo in us:
-            for vo in vs:
-                pts[..., 0] = qq + uo
-                pts[..., 1] = pp + vo
-                acc += interp_r(pts)
-                if interp_i is not None:
-                    acc += 1j * interp_i(pts)
-        out[pair] = acc / (m_u * m_v)
+        w = _box_average_form(_pair_form(state, pair), qh, ph, hu, hv)
+        blocks[pair] = u.unscale_wigner(w)
     return WignerMatrixField(
         params=field.params, t=field.t, q=field.q, p=field.p,
-        w_pp=out["++"].real, w_mm=out["--"].real, w_pm=out["+-"],
+        w_pp=blocks["++"].real, w_mm=blocks["--"].real, w_pm=blocks["+-"],
         source=None, pixels=pix,
+        diag_imag_residue=float(
+            max(np.max(np.abs(blocks["++"].imag)), np.max(np.abs(blocks["--"].imag)))
+        ),
     )
 
 
@@ -604,11 +527,11 @@ def _coarse_grain_sampled(field: WignerMatrixField, pix: CoarsePixelSpec) -> Wig
 # spin projections and fringe diagnostics
 
 
-def project_spin_direction(w, n, strict: bool = False):
+def project_spin_direction(w, n):
     """Tr[W(q,p)(𝟙 + n·σ)/2] for a spin direction n (unit 3-vector).
 
     Takes a WignerMatrixField and returns the projected real field.
-    Non-unit n is rejected when strict, otherwise normalized with a warning.
+    Non-unit n is normalized with a warning.
     """
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
@@ -617,8 +540,6 @@ def project_spin_direction(w, n, strict: bool = False):
     if norm == 0.0:
         raise ValueError("n must be nonzero")
     if abs(norm - 1.0) > 1e-12:
-        if strict:
-            raise ValueError(f"|n| = {norm} is not 1 within 1e-12")
         warnings.warn(f"normalizing non-unit spin direction (|n| = {norm})")
         n = n / norm
     nx, ny, nz = n

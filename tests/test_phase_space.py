@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,17 +92,6 @@ def test_marginal_and_total(state_early, silver):
     assert field.diag_imag_residue <= 1e-12
 
 
-def test_density_matrix_purity_and_hermiticity(state_early, silver):
-    half = 10.0 * silver.sigma + state_early.center("+")
-    x = np.linspace(-half, half, 3001)
-    rho = sg.density_matrix(state_early, x)
-    assert rho.purity() == pytest.approx(1.0, abs=1e-9)
-    assert rho.hermiticity_defect() <= 1e-12
-    dens = rho.diagonal_density()
-    assert np.all(dens >= 0.0)
-    assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-9)
-
-
 def test_density_matrix_grid_validation(state_early):
     with pytest.raises(ValueError):
         sg.density_matrix(state_early, np.array([]))
@@ -114,6 +106,32 @@ def test_numeric_transform_guards(state_early):
     sparse = sg.density_matrix(state_early, np.linspace(-5e-6, 5e-6, 64))
     with pytest.raises(sg.ResolutionError):
         sg.wigner_numeric(sparse, np.array([0.0]), np.array([1e-25]))
+
+
+def test_numeric_transform_rejects_one_wide_gap(silver):
+    # steps of 3.5e-9 m sit below numpy's default atol of 1e-8, so only an
+    # absolute-tolerance-free check sees the one step that is 40 % too wide
+    state = sg.evolve_in_field(silver, 1.0e-5)
+    dx = 3.5e-9
+    x = dx * (np.arange(401) - 200.0)
+    x[201:] += 0.4 * dx
+    rho = sg.density_matrix(state, x)
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        sg.wigner_numeric(rho, np.array([0.0]), np.array([0.0]))
+
+
+def test_numeric_field_rejects_a_nonuniform_q_axis(state_early, silver):
+    # the rho grid is aligned with q[0] and q[1] - q[0]; an unequal later
+    # step would be snapped to a node without a word
+    q = np.array([0.0, 1e-7, 1.234567e-7])
+    p = np.array([-1e-27, 0.0, 1e-27])
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        sg.wigner_field(state_early, q, p, method="numeric")
+    uniform = np.array([0.0, 1e-7, 2e-7])
+    analytic = sg.wigner_field(state_early, uniform, p, method="analytic")
+    numeric = sg.wigner_field(state_early, uniform, p, method="numeric")
+    dev = float(np.max(np.abs(analytic.w_pm - numeric.w_pm)))
+    assert dev * silver.hbar < 1e-9
 
 
 def _reference_wigner_numeric(rho, q, p):
@@ -239,19 +257,30 @@ def test_tiny_pixels_recover_the_fine_field(state_early, silver):
     assert devs[1e-4] / devs[1e-5] > 30.0
 
 
-def test_sampled_fallback_tracks_the_closed_form(state_early, silver):
-    ctr = state_early.center("+")
-    kick = silver.force * state_early.t
-    spread = silver.hbar / silver.sigma
-    q = np.linspace(ctr - 4 * silver.sigma, ctr + 4 * silver.sigma, 81)
-    p = np.linspace(kick - 4 * spread, kick + 4 * spread, 81)
-    fine = sg.wigner_field(state_early, q, p)
-    pix = sg.CoarsePixelSpec(Delta=2 * float(q[1] - q[0]), delta=2 * float(p[1] - p[0]))
-    exact = sg.coarse_grain(fine, pix)
-    sampled = sg.coarse_grain(dataclasses.replace(fine, source=None), pix)
-    scale = float(np.max(np.abs(exact.w_pp)))
-    assert float(np.max(np.abs(sampled.w_pp - exact.w_pp))) / scale < 1e-2
-    assert sampled.pixels == pix
+@pytest.mark.parametrize("kind", ["numeric", "coarse"])
+def test_fields_without_a_source_refuse_closed_form_operations(state_early, kind):
+    q, p = sg.default_phase_space_grid(state_early.params, state_early.t, n_q=8, n_p=8)
+    if kind == "numeric":
+        field = sg.wigner_field(state_early, q, p, method="numeric")
+    else:
+        field = sg.coarse_grain(sg.wigner_field(state_early, q, p),
+                                sg.CoarsePixelSpec.default())
+    assert field.source is None
+    with pytest.raises(ValueError, match="closed-form"):
+        sg.coarse_grain(field, sg.CoarsePixelSpec.default())
+    with pytest.raises(ValueError, match="closed-form"):
+        field.marginal_position("++")
+    with pytest.raises(ValueError, match="closed-form"):
+        field.total()
+
+
+def test_import_does_not_load_scipy_interpolate():
+    # a fresh interpreter importing the same package as this test run
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)))
+    code = "import sys, sgcoarse; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_fringe_scale_measurement(silver):
