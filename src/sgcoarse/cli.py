@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -69,30 +70,35 @@ def _load_config(path: str):
 
     A file whose first line is '# sgcoarse <version>' is one of our
     outputs: its '# key = value' header lines are split into physical
-    parameters (known config keys) and subcommand settings.  Anything
-    else is parsed as a plain key = value config file.
+    parameters (known config keys) and subcommand settings.  Reading
+    stops at the first line that is not a '#' line, so the data body is
+    never read.  Anything else is parsed as a plain key = value config
+    file.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    first = text.splitlines()[0].strip() if text.splitlines() else ""
+    with open(path, "rb") as fh:
+        first = fh.readline().decode("utf-8")
+        if not first.strip().startswith(f"# {_TOOL} "):
+            text = first + fh.read().decode("utf-8")
+            return params_from_entries(parse_config_text(text)), {}
+        header = [first]
+        for raw in fh:
+            line = raw.decode("utf-8")
+            if not line.strip().startswith("#"):
+                break
+            header.append(line)
+    entries: dict[str, float] = {}
     settings: dict[str, str] = {}
-    if first.startswith(f"# {_TOOL} "):
-        entries: dict[str, float] = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line.startswith("#"):
-                continue
-            body = line.lstrip("#").strip()
-            key, sep, value = body.partition("=")
-            if not sep:
-                continue
-            key, value = key.strip(), value.strip()
-            if key in CONFIG_KEYS:
-                entries[key] = float(value)
-            else:
-                settings[key] = value
-        return params_from_entries(entries), settings
-    return params_from_entries(parse_config_text(text)), settings
+    for line in header:
+        body = line.strip().lstrip("#").strip()
+        key, sep, value = body.partition("=")
+        if not sep:
+            continue
+        key, value = key.strip(), value.strip()
+        if key in CONFIG_KEYS:
+            entries[key] = float(value)
+        else:
+            settings[key] = value
+    return params_from_entries(entries), settings
 
 
 def _resolve(args, settings: dict[str, str], key: str, default, cast):
@@ -116,12 +122,14 @@ def _header(command: str, params: PhysicalParams, settings: dict, columns: str) 
 
 
 def _write_csv(path: str, header: list[str], column_row: str, rows) -> None:
+    """Write the header, the column row, then one line per row tuple, each
+    value at 17 significant digits as _fmt writes it; rows are streamed."""
+    row_fmt = ",".join(["%.17g"] * len(column_row.split(","))) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in header:
             fh.write(line + "\n")
         fh.write(column_row + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row_fmt % row for row in rows)
     print(f"wrote {path}")
 
 
@@ -158,14 +166,17 @@ def _cmd_density(args, params: PhysicalParams, settings) -> int:
 
 
 def _wigner_rows(field, proj):
-    for i in range(field.q.size):
-        for j in range(field.p.size):
-            yield (
-                field.q[i], field.p[j],
-                field.w_pp[i, j], field.w_mm[i, j],
-                field.w_pm[i, j].real, field.w_pm[i, j].imag,
-                proj[i, j],
-            )
+    """q-major (q, p, W_pp, W_mm, Re W_pm, Im W_pm, proj) rows of Python
+    floats, converted one q row at a time."""
+    p = field.p.tolist()
+    for i, q in enumerate(field.q.tolist()):
+        w_pm = field.w_pm[i]
+        yield from zip(
+            itertools.repeat(q), p,
+            field.w_pp[i].tolist(), field.w_mm[i].tolist(),
+            w_pm.real.tolist(), w_pm.imag.tolist(),
+            proj[i].tolist(),
+        )
 
 
 def _cmd_wigner(args, params: PhysicalParams, settings) -> int:

@@ -21,7 +21,7 @@ leaves only at the API boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 HBAR = 1.054571817e-34  # J s
 

@@ -18,7 +18,6 @@ with the x < 0 half recovered from erf's oddness.
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erf, wofz
 
 # direct complex erf is safe while exp(kappa^2/4) fits comfortably in range
@@ -69,7 +68,13 @@ def gauss_window(a, b, mu, alpha: float) -> np.ndarray:
 
 def real_quad(f, a: float, b: float, *, epsabs: float = 1e-12, limit: int = 400,
               points=None) -> float:
-    """Adaptive Gauss-Kronrod quadrature of a real integrand."""
+    """Adaptive Gauss-Kronrod quadrature of a real integrand.
+
+    scipy.integrate is imported here, on first use: it pulls in a large
+    part of scipy, and most entry points never integrate.
+    """
+    from scipy import integrate
+
     kw = dict(epsabs=epsabs, epsrel=1e-11, limit=limit)
     if points is not None:
         kw["points"] = [p for p in points if a < p < b]

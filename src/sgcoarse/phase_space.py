@@ -193,9 +193,10 @@ def _uniform_spacing(a: np.ndarray, what: str) -> float:
 def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     """Wigner matrix by direct Fourier transform of a sampled density matrix.
 
-    q values are snapped to the nearest node of rho's own grid so that
-    q ± y/2 stays on the grid; the y-trapezoid is then spectrally accurate
-    for the smooth decaying integrands produced by Gaussian packets.
+    q values must lie within rho's own grid and are snapped to its nearest
+    node so that q ± y/2 stays on the grid; the y-trapezoid is then
+    spectrally accurate for the smooth decaying integrands produced by
+    Gaussian packets.
     The phase table cos/sin(p y/ħ) is built once per call for y ≥ 0, and
     each row folds the integrand over ±y into its even and odd parts, so a
     row costs two real matrix products shared by all four spin pairs.
@@ -215,6 +216,12 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
         raise ResolutionError(
             f"Wigner transform undersampled at |p| = {p_max:.6e} kg m/s: "
             f"grid spacing {dx:.6e} m exceeds {need:.6e} m"
+        )
+
+    if qa.size and (qa.min() < x[0] or qa.max() > x[-1]):
+        raise ValueError(
+            f"q range [{qa.min():.6e}, {qa.max():.6e}] m lies outside the "
+            f"density matrix grid [{x[0]:.6e}, {x[-1]:.6e}] m"
         )
 
     idx = np.clip(np.searchsorted(x, qa), 1, x.size - 1)

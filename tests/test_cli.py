@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sgcoarse as sg
+from sgcoarse import cli
 
 
 def test_entropy_output(tmp_path, silver_config, run_cli, read_csv):
@@ -172,3 +173,62 @@ def test_zero_force_density_works_entropy_fails(run_cli, read_csv, tmp_path, cap
     np.testing.assert_array_equal(rows[:, 1], rows[:, 2])  # branches coincide
     assert run_cli(["entropy", "--config", str(cfg), "--out", str(out)]) == 1
     assert "no separation timescale" in capsys.readouterr().err
+
+
+def _old_row(row):
+    return ",".join(format(float(v), ".17g") for v in row)
+
+
+def test_row_writer_matches_per_value_format(tmp_path, state_early):
+    edge = [(-0.0, 5e-324, 1e308, -1e-300, 0.1)]
+    field = sg.wigner_field(state_early, np.linspace(-1e-7, 1e-7, 4),
+                            np.linspace(-2e-28, 2e-28, 3))
+    assert np.any(field.w_pm.imag != 0.0)
+    proj = sg.project_spin_direction(field, (1.0, 0.0, 0.0))
+    wigner = [
+        (field.q[i], field.p[j], field.w_pp[i, j], field.w_mm[i, j],
+         field.w_pm[i, j].real, field.w_pm[i, j].imag, proj[i, j])
+        for i in range(4) for j in range(3)
+    ]
+    x = np.linspace(-1e-5, 1e-5, 9)
+    scalars = list(zip(x, np.exp(-x * x / 1e-11), np.float64(1) / 3 - x))
+    cases = [(edge, "a,b,c,d,e", edge),
+             (cli._wigner_rows(field, proj), sg.WIGNER_CSV_HEADER + ",W_proj_x", wigner),
+             (scalars, "x,y,z", scalars)]
+    for k, (rows, columns, want) in enumerate(cases):
+        path = tmp_path / f"rows{k}.csv"
+        cli._write_csv(str(path), [], columns, rows)
+        body = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert body == [_old_row(row) for row in want]
+
+
+def test_load_config_reads_only_the_header(tmp_path, silver_config, run_cli):
+    out = tmp_path / "run"
+    assert run_cli(["entropy", "--config", silver_config, "--out", str(out),
+                    "--points", "5"]) == 0
+    good = out / "entropy.csv"
+    data = good.read_bytes()
+    cut = data.index(b"\nt,A,S_ent\n") + len(b"\nt,A,S_ent\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data[:cut] + b"\xff\xfe\x80 not utf-8\n" + data[cut:])
+    with pytest.raises(UnicodeDecodeError):
+        bad.read_text(encoding="utf-8")
+    assert cli._load_config(str(bad)) == cli._load_config(str(good))
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["density", "--points", "51"], ["density.csv"]),
+    (["info", "--points", "5"], ["info.csv"]),
+    (["wigner", "--t", "3e-05", "--grid", "8x8", "--coarse", "--coarse-grid", "4x4"],
+     ["wigner_t3e-05.csv", "wigner_coarse_t3e-05.csv"]),
+], ids=["density", "info", "wigner"])
+def test_replay_from_each_output_is_identical(tmp_path, silver_config, run_cli, argv, files):
+    first = tmp_path / "first"
+    assert run_cli([argv[0], "--config", silver_config, "--out", str(first)]
+                   + argv[1:]) == 0
+    for source in files:
+        again = tmp_path / f"replay-{source}"
+        assert run_cli([argv[0], "--config", str(first / source),
+                        "--out", str(again)]) == 0
+        for name in files:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), (source, name)

@@ -167,9 +167,8 @@ def test_folded_numeric_transform_matches_the_per_row_loop(silver, weights):
     x = dx * (np.arange(401) - 200.0)
     rho = sg.density_matrix(state, x)
     q = np.array([
-        x[0] - 7.0 * dx, x[0] - 0.2 * dx, x[0],        # beyond and at the low end
-        x[3] + 0.3 * dx, x[150] + 0.5 * dx, x[200],    # between nodes, centre
-        x[261] - 0.45 * dx, x[-1], x[-1] + 3.0 * dx,   # at and beyond the high end
+        x[0], x[3] + 0.3 * dx, x[150] + 0.5 * dx,      # low end, between nodes
+        x[200], x[261] - 0.45 * dx, x[-1],             # centre, high end
     ])
     width_p = params.hbar / (np.sqrt(2.0) * params.sigma)
     p = np.concatenate([np.linspace(-3.0 * width_p, 3.0 * width_p, 7), [1e-30]])
@@ -182,6 +181,19 @@ def test_folded_numeric_transform_matches_the_per_row_loop(silver, weights):
         assert dev <= 1e-12 * peak, pair
     assert abs(field.hermiticity_residue - herm) <= 1e-12 * peak * params.hbar
     assert abs(field.diag_imag_residue - diag_imag) <= 1e-12 * peak * params.hbar
+
+
+@pytest.mark.parametrize("offset", [-7.0, -0.2, 3.0], ids=["low", "just-low", "high"])
+def test_numeric_transform_rejects_q_outside_the_density_grid(silver, offset):
+    # q beyond rho's grid used to snap to the edge node with a one-sample window
+    state = sg.evolve_in_field(silver, 1.0e-5)
+    dx = 3.5e-9
+    x = dx * (np.arange(401) - 200.0)
+    rho = sg.density_matrix(state, x)
+    edge = x[0] if offset < 0 else x[-1]
+    q = np.array([x[200], edge + offset * dx])
+    with pytest.raises(ValueError, match="outside the density matrix grid"):
+        sg.wigner_numeric(rho, q, np.array([0.0]))
 
 
 def test_numeric_transform_resolves_the_cross_window(state_early, silver):
@@ -274,13 +286,22 @@ def test_fields_without_a_source_refuse_closed_form_operations(state_early, kind
         field.total()
 
 
-def test_import_does_not_load_scipy_interpolate():
+def _loaded_after_fresh_import(module):
     # a fresh interpreter importing the same package as this test run
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)))
-    code = "import sys, sgcoarse; print('scipy.interpolate' in sys.modules)"
+    code = f"import sys, sgcoarse; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy_interpolate():
+    assert _loaded_after_fresh_import("scipy.interpolate") == "False"
+
+
+def test_import_does_not_load_scipy_integrate():
+    # only real_quad integrates, and it imports scipy.integrate on first use
+    assert _loaded_after_fresh_import("scipy.integrate") == "False"
 
 
 def test_fringe_scale_measurement(silver):
