@@ -150,8 +150,7 @@ def _cmd_density(args, params: PhysicalParams, settings) -> int:
     t = _resolve(args, settings, "t_s", 22.5e-6, float)
     n = _resolve(args, settings, "points", 2001, int)
     state = evolve_in_field(params, t)
-    half = 10.0 * params.sigma + 0.5 * abs(params.accel) * t * t
-    x = np.linspace(-half, half, n)
+    x, _ = default_phase_space_grid(params, t, n, 2)
     rho_p = state.density("+", x)
     rho_m = state.density("-", x)
     echo = {"t_s": _fmt(t), "points": str(n)}
@@ -260,7 +259,7 @@ def _cmd_verify(args, params: PhysicalParams, settings) -> int:
     for t in t_list:
         dt = default_dt(params, t) * factor
         rows.extend(verify_closed_forms(params, [t], dt=dt, n=n, half_width=half_width).rows)
-    _, orders = convergence_order(params, scales.tau3)
+    _, orders = convergence_order(params, scales.tau3, n=n, half_width=half_width)
     order = min(orders)
 
     echo = {

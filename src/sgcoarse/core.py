@@ -52,10 +52,6 @@ class NoSeparationError(ValueError):
     """Raised when F = 0 leaves the separation timescale undefined."""
 
 
-class InvalidWavenumberError(ValueError):
-    """Raised for a non-positive longitudinal wavenumber."""
-
-
 class ResolutionError(ValueError):
     """Raised when a grid is too coarse for the oscillations it must carry."""
 
@@ -182,20 +178,8 @@ class UnitSystem:
 
     # unit values in SI
     @property
-    def length(self) -> float:
-        return self.sigma
-
-    @property
-    def time(self) -> float:
-        return self.tau2
-
-    @property
     def momentum(self) -> float:
         return self.hbar / self.sigma
-
-    @property
-    def force(self) -> float:
-        return self.momentum / self.tau2
 
     @property
     def accel(self) -> float:
@@ -229,9 +213,6 @@ class UnitSystem:
     def unscale_momentum(self, p):
         return p * self.momentum
 
-    def scale_force(self, f):
-        return f / self.force
-
     def scale_accel(self, a):
         return a / self.accel
 
@@ -241,35 +222,6 @@ class UnitSystem:
 
     def unscale_wigner(self, w):
         return w * self.phase_space_density
-
-
-def paraxial_time(z: float, k: float, params: PhysicalParams) -> float:
-    """Time of flight equivalent to propagation distance z at wavenumber k.
-
-    A monochromatic beam along z with E = k²ħ²/(2m) maps the transverse
-    problem onto a time-dependent one through t = z m/(k ħ).
-    """
-    if k <= 0.0:
-        raise InvalidWavenumberError(f"wavenumber must be positive, got {k}")
-    if z < 0.0:
-        raise ValueError(f"propagation distance must be nonnegative, got {z}")
-    return z * params.mass / (k * params.hbar)
-
-
-def paraxial_distance(t: float, k: float, params: PhysicalParams) -> float:
-    """Inverse of :func:`paraxial_time`."""
-    if k <= 0.0:
-        raise InvalidWavenumberError(f"wavenumber must be positive, got {k}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return t * k * params.hbar / params.mass
-
-
-def beam_energy(k: float, params: PhysicalParams) -> float:
-    """Longitudinal kinetic energy E = k²ħ²/(2m)."""
-    if k <= 0.0:
-        raise InvalidWavenumberError(f"wavenumber must be positive, got {k}")
-    return (k * params.hbar) ** 2 / (2.0 * params.mass)
 
 
 def parse_config_text(text: str) -> dict[str, float]:

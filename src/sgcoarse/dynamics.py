@@ -37,7 +37,6 @@ import numpy as np
 
 from .core import PhysicalParams, UnitSystem
 
-BRANCHES = ("+", "-")
 SPIN_PAIRS = ("++", "--", "+-", "-+")
 
 

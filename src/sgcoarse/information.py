@@ -29,22 +29,6 @@ from .dynamics import SpinorWavepacket, evolve_in_field
 from .numerics import gauss_window, real_quad
 from .phase_space import CoarsePixelSpec
 
-__all__ = [
-    "LN2",
-    "CoverageError",
-    "EntanglementSeries",
-    "ScreenDistribution",
-    "entropy_from_overlap",
-    "entanglement_entropy",
-    "entanglement_series",
-    "overlap_decay",
-    "reduced_spin_density",
-    "von_neumann_entropy",
-    "screen_distribution",
-    "mean_information",
-    "information_series",
-]
-
 LN2 = math.log(2.0)
 
 # screen extent must capture at least this much probability
@@ -121,10 +105,6 @@ class EntanglementSeries:
         if not (self.times.shape == self.A_values.shape == self.S_ent.shape):
             raise ValueError("series fields must share one shape")
 
-    @property
-    def S_ent_bits(self) -> np.ndarray:
-        return self.S_ent / LN2
-
 
 def entanglement_series(
     scales: DerivedScales, times, params: PhysicalParams | None = None
@@ -176,10 +156,6 @@ class ScreenDistribution:
     S: np.ndarray
     I: np.ndarray
     captured: float
-
-    def total(self) -> float:
-        """Probability mass inside the screen."""
-        return float(np.sum(self.P_plus + self.P_minus))
 
     def mean_information(self) -> float:
         """Pixel-sum mean information per event, Σ_X P(X) I(X), nats."""
@@ -291,29 +267,16 @@ def screen_distribution(
     )
 
 
-def mean_information(
-    state: SpinorWavepacket,
-    fine_limit: bool = True,
-    pixels=None,
-    extent=None,
-    *,
-    alignment: str = "center",
-) -> float:
-    """Mean information per detection event, nats.
+def mean_information(state: SpinorWavepacket) -> float:
+    """Mean information per detection event in the fine limit, nats.
 
-    fine_limit=True evaluates the continuum mutual information
+    Evaluates the continuum mutual information
         H = H_prior - ∫P lnP + ∫P₊ lnP₊ + ∫P₋ lnP₋
     as ∫ P(x) I(x) dx, which is its numerically stable rearrangement (the
-    dimensionful logs cancel exactly).  fine_limit=False sums P(X) I(X)
-    over the pixels instead (default pixel spec if none given).  Either
-    way the result is clipped to [0, H_prior].
+    dimensionful logs cancel exactly), clipped to [0, H_prior].  For a
+    screen of finite pixels use screen_distribution(...).mean_information().
     """
     prior = _prior_entropy(state.params)
-    if not fine_limit:
-        spec = CoarsePixelSpec.default() if pixels is None else pixels
-        val = screen_distribution(state, spec, extent, alignment=alignment).mean_information()
-        return float(min(max(val, 0.0), prior))
-
     (Cp, mup, arp, lCp) = state.density_form("+")
     (Cm, mum, arm, lCm) = state.density_form("-")
     lo = min(mup - _TAIL_SIGMAS / math.sqrt(arp), mum - _TAIL_SIGMAS / math.sqrt(arm))

@@ -35,6 +35,8 @@ from .dynamics import SpinorWavepacket, branch_sign, evolve_in_field
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_HALF_WIDTH = 10.0  # scaled units of sigma
 DEFAULT_DT_FRACTION = 1e-5  # of tau2
+_STRANG_PHASE_TARGET = 2e-7  # accumulated Strang phase that default_dt allows
+_CONVERGENCE_LEVELS = 3  # dt, dt/2, dt/4 in convergence_order
 _SAMPLES_PER_WAVELENGTH = 8.0
 _WIDTH_MARGIN = 12.0
 
@@ -85,10 +87,6 @@ class GridState:
     _plan: _StepPlan | None = field(default=None, repr=False, compare=False)
     _norms: tuple | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def half_width(self) -> float:
-        return float(-self.x[0])
-
     def psi(self, branch: str) -> np.ndarray:
         return self.psi_plus if branch_sign(branch) > 0 else self.psi_minus
 
@@ -98,18 +96,6 @@ class GridState:
     def mean_position(self, branch: str) -> float:
         p = np.abs(self.psi(branch)) ** 2
         return float(np.sum(self.x * p) * self.dx / (np.sum(p) * self.dx))
-
-    def variance(self, branch: str) -> float:
-        p = np.abs(self.psi(branch)) ** 2
-        w = p / np.sum(p)
-        mu = float(np.sum(self.x * w))
-        return float(np.sum((self.x - mu) ** 2 * w))
-
-    def mean_momentum(self, branch: str) -> float:
-        psi = self.psi(branch)
-        k = 2.0 * np.pi * np.fft.fftfreq(self.x.size, d=self.dx)
-        spec = np.abs(np.fft.fft(psi)) ** 2
-        return float(np.sum(k * spec) / np.sum(spec))
 
     def boundary_mass(self, margin: float = 2.0) -> float:
         """Probability within `margin` (scaled) of either grid edge."""
@@ -211,14 +197,15 @@ def _check_resolution(params: PhysicalParams, t: float, n: int, half_width: floa
         )
 
 
-def default_dt(params: PhysicalParams, t: float, target: float = 2e-7) -> float:
-    """dt (SI) putting the accumulated Strang phase below `target` at time t."""
+def default_dt(params: PhysicalParams, t: float) -> float:
+    """dt (SI) putting the accumulated Strang phase below _STRANG_PHASE_TARGET
+    at time t."""
     units = UnitSystem.for_params(params)
     ahat = abs(units.scale_accel(params.accel))
     ts = units.scale_time(t)
     dt_hat = DEFAULT_DT_FRACTION
     if ahat > 0.0 and ts > 0.0:
-        dt_hat = min(dt_hat, math.sqrt(24.0 * target / (ahat**2 * ts)))
+        dt_hat = min(dt_hat, math.sqrt(24.0 * _STRANG_PHASE_TARGET / (ahat**2 * ts)))
     dt_hat = min(dt_hat, ts / 64.0) if ts > 0.0 else dt_hat
     return units.unscale_time(dt_hat)
 
@@ -317,18 +304,16 @@ def verify_closed_forms(
 def convergence_order(
     params: PhysicalParams,
     t: float,
-    dt0: float | None = None,
-    levels: int = 3,
     n: int = DEFAULT_GRID_POINTS,
     half_width: float = DEFAULT_HALF_WIDTH,
 ) -> tuple[list[float], list[float]]:
-    """L2 errors for dt0, dt0/2, ... and the observed orders between them."""
-    if dt0 is None:
-        units = UnitSystem.for_params(params)
-        dt0 = units.unscale_time(units.scale_time(t) / 256.0)
+    """L2 errors for dt0 = t/256, dt0/2, dt0/4 and the observed orders
+    between them."""
+    units = UnitSystem.for_params(params)
+    dt0 = units.unscale_time(units.scale_time(t) / 256.0)
     errs = []
     exact = evolve_in_field(params, t)
-    for lvl in range(levels):
+    for lvl in range(_CONVERGENCE_LEVELS):
         dt = dt0 / 2**lvl
         grid = evolve_grid(params, t, dt=dt, n=n, half_width=half_width)
         errs.append(_branch_error(grid, exact, "+"))

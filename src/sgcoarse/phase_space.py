@@ -38,6 +38,9 @@ from .numerics import gauss_legendre_nodes, gauss_window, osc_gauss_window
 DEFAULT_PIXEL_DELTA_M = 1e-6
 DEFAULT_CELL_RATIO = 100.0
 _SUPPORT_SIGMAS = 12.0  # Gaussian reach kept in window intersections
+_RHO_PAD_WIDTHS = 14.0  # packet widths the rho grid reaches past the q axis
+_FRINGE_PERIODS = 6.0  # fringe periods spanned by measure_oscillation_scale
+_FRINGE_SAMPLES = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +273,6 @@ def density_grid_for_wigner(
     state: SpinorWavepacket,
     q: np.ndarray,
     p_max: float,
-    pad_widths: float = 14.0,
 ) -> DensityMatrixField:
     """Sample a density matrix on a uniform grid aligned with the q nodes and
     fine enough for wigner_numeric at momenta up to |p_max|.  The q nodes
@@ -283,7 +285,7 @@ def density_grid_for_wigner(
     r = max(1, math.ceil(dq / (0.9 * need)))
     dx = dq / r
     width = math.sqrt(state.variance("+"))
-    reach = pad_widths * width + abs(state.center("+")) + abs(state.center("-"))
+    reach = _RHO_PAD_WIDTHS * width + abs(state.center("+")) + abs(state.center("-"))
     lo = qa[0] - reach
     hi = qa[-1] + reach
     n_lo = math.ceil((qa[0] - lo) / dx)
@@ -315,9 +317,11 @@ class CoarsePixelSpec:
         return self.Delta * self.delta / (2.0 * np.pi * HBAR)
 
     @classmethod
-    def default(cls, Delta: float = DEFAULT_PIXEL_DELTA_M, cell_ratio: float = DEFAULT_CELL_RATIO) -> "CoarsePixelSpec":
-        """Pixel of width Δ whose area is `cell_ratio` Planck cells."""
-        return cls(Delta=Delta, delta=cell_ratio * 2.0 * np.pi * HBAR / Delta)
+    def default(cls) -> "CoarsePixelSpec":
+        """Pixel of width DEFAULT_PIXEL_DELTA_M whose area is DEFAULT_CELL_RATIO
+        Planck cells."""
+        Delta = DEFAULT_PIXEL_DELTA_M
+        return cls(Delta=Delta, delta=DEFAULT_CELL_RATIO * 2.0 * np.pi * HBAR / Delta)
 
 
 @dataclass(frozen=True)
@@ -404,7 +408,7 @@ def default_phase_space_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grids containing both displaced packets and the kicked momenta ±Ft."""
     a = abs(params.accel)
-    f = abs(params.force) if params.force is not None else 0.0
+    f = abs(params.force)
     q_half = 10.0 * params.sigma + 0.5 * a * t * t
     p_half = 10.0 * (params.hbar / params.sigma + f * t)
     return (
@@ -565,28 +569,23 @@ def oscillation_scale(params: PhysicalParams, t: float) -> float:
     """Fringe spacing scale d = ħ/(2Ft) of the off-diagonal Wigner block (m)."""
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
-    f = abs(params.force) if params.force is not None else 0.0
+    f = abs(params.force)
     if f == 0.0:
         raise ValueError("no field, no interference fringes")
     return params.hbar / (2.0 * f * t)
 
 
-def measure_oscillation_scale(
-    state: SpinorWavepacket,
-    p: float = 0.0,
-    periods: float = 6.0,
-    n: int = 8192,
-) -> float:
-    """Fringe scale from the zero crossings of Re W₊₋ along q at fixed p.
+def measure_oscillation_scale(state: SpinorWavepacket) -> float:
+    """Fringe scale from the zero crossings of Re W₊₋ along q at p = 0.
 
     Samples the closed form on a dense line through the envelope center;
     consecutive zero crossings of a cos(q/d + const) profile sit πd apart.
     The window is sized from the kick gathered in the field, d ≈ ħ/(2F t_exit).
     """
     d_est = oscillation_scale(state.params, state.t_exit)
-    half = 0.5 * periods * 2.0 * np.pi * d_est
-    q = np.linspace(-half, half, n)
-    w = wigner_analytic(state, q, np.array([p]))
+    half = 0.5 * _FRINGE_PERIODS * 2.0 * np.pi * d_est
+    q = np.linspace(-half, half, _FRINGE_SAMPLES)
+    w = wigner_analytic(state, q, np.array([0.0]))
     f = np.real(w.w_pm[:, 0])
     s = np.sign(f)
     flips = np.nonzero(s[:-1] * s[1:] < 0)[0]

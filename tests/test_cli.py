@@ -91,7 +91,8 @@ def test_wigner_output(tmp_path, silver_config, run_cli, read_csv):
     assert off_max < 1e-3 * diag_max
 
 
-def test_verify_passes(tmp_path, silver_config, run_cli, read_csv, capsys):
+def test_verify_passes(tmp_path, silver_config, silver, scales, convergence,
+                       run_cli, read_csv, capsys):
     out = tmp_path / "run"
     code = run_cli(["verify", "--config", silver_config, "--out", str(out),
                     "--t-list", "1e-08,2.2752358511326858e-07", "--n", "2048"])
@@ -101,7 +102,11 @@ def test_verify_passes(tmp_path, silver_config, run_cli, read_csv, capsys):
     assert names == ["t", "l2_err_plus", "l2_err_minus", "overlap_dev", "norm_drift"]
     assert rows.shape == (2, 5)
     assert np.all(rows[:, 1:3] < 1e-6)
-    assert any("observed_convergence_order" in line for line in header)
+    # the order is measured on the grid the header reports, not the default
+    assert "# n_grid = 2048" in header and "# half_width = 10" in header
+    _, orders = sg.convergence_order(silver, scales.tau3, n=2048, half_width=10.0)
+    assert f"# observed_convergence_order = {format(min(orders), '.17g')}" in header
+    assert min(orders) != min(convergence[1])
 
 
 def test_verify_flags_coarse_timestep(tmp_path, silver_config, run_cli, capsys):

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and
+every module-level definition has a caller."""
 
 import ast
 import pathlib
@@ -9,6 +10,7 @@ import sgcoarse
 
 PACKAGE = pathlib.Path(sgcoarse.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -67,3 +69,56 @@ def test_module_level_imports_are_used(path):
         if alias.name != "*" and _bound_name(alias) not in used
     ]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _defined_names(tree):
+    """Top-level functions, classes and assigned names, each with its node."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, node
+
+
+def _references(node, strings=True):
+    """Identifiers that `node` loads, reads as an attribute or, with
+    `strings`, spells as a whole string literal (as getattr hooks do)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if sub.value.isidentifier():
+                yield sub.value
+
+
+def _referenced_outside(path, names):
+    """The subset of `names` some file in src/, tests/ or bench/ refers to,
+    not counting a definition's references to itself or the package
+    __init__'s re-export list."""
+    found = set()
+    sources = [p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")]
+    for source in sources:
+        tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+        own = {}  # definition node -> the names it defines, in the module itself
+        if source.resolve() == path.resolve():
+            for name, node in _defined_names(tree):
+                own.setdefault(node, set()).add(name)
+        strings = source.resolve() != PACKAGE.resolve() / "__init__.py"
+        for node in tree.body:
+            skip = own.get(node, set())
+            found.update(n for n in _references(node, strings) if n in names and n not in skip)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_level_definitions_are_referenced(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {name for name, _ in _defined_names(tree)}
+    dead = sorted(names - _referenced_outside(path, names))
+    assert not dead, f"{path.name}: module-level names nothing refers to: {dead}"
