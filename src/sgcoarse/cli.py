@@ -216,7 +216,8 @@ def _cmd_wigner(args, params: PhysicalParams, settings) -> int:
             "q [m], p [kg m/s], W_pp W_mm Re_W_pm Im_W_pm W_proj_x [1/(J s)]",
         )
 
-        field = wigner_field(state, n_q=n_q, n_p=n_p, method="analytic")
+        q, p = default_phase_space_grid(params, t, n_q, n_p)
+        field = wigner_field(state, q, p, method="analytic")
         proj = project_spin_direction(field, x_hat)
         name = f"wigner_t{t:g}.csv"
         _write_csv(os.path.join(args.out, name), header,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 HBAR = 1.054571817e-34  # J s
 
@@ -42,9 +43,6 @@ CONFIG_KEYS = (
     "c_plus_im",
     "c_minus_re",
     "c_minus_im",
-    "g",
-    "mu_B",
-    "B0",
 )
 
 
@@ -60,46 +58,22 @@ class ResolutionError(ValueError):
 class PhysicalParams:
     """Inputs of a run: mass, gradient force, packet width, spin weights.
 
-    ``force`` may be supplied directly or derived from a gradient triple
-    (g, mu_B, B0) via F = -g·mu_B·(ħ/2)·B0; if both are given they must
-    agree to 1e-12 relative.
+    ``force`` is the coupling F of H = p²/2m + F x σ; for a silver atom it
+    is μB ∂B/∂z.  ħ is the CODATA constant, not an input.
     """
 
     mass: float
-    force: float | None = None
+    force: float
     sigma: float = SILVER_SIGMA_M
     c_plus: complex = complex(_ROOT_HALF, 0.0)
     c_minus: complex = complex(_ROOT_HALF, 0.0)
-    hbar: float = HBAR
-    g: float | None = None
-    mu_B: float | None = None
-    B0: float | None = None
+    hbar: ClassVar[float] = HBAR
 
     def __post_init__(self) -> None:
         if not (self.mass > 0.0):
             raise ValueError(f"mass must be positive, got {self.mass}")
         if not (self.sigma > 0.0):
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not (self.hbar > 0.0):
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-
-        triple = (self.g, self.mu_B, self.B0)
-        have_triple = all(v is not None for v in triple)
-        if any(v is not None for v in triple) and not have_triple:
-            raise ValueError("gradient triple (g, mu_B, B0) must be given together")
-
-        if have_triple:
-            derived = -self.g * self.mu_B * (self.hbar / 2.0) * self.B0
-            if self.force is None:
-                object.__setattr__(self, "force", derived)
-            elif abs(self.force - derived) > 1e-12 * max(abs(self.force), abs(derived)):
-                raise ValueError(
-                    f"force {self.force!r} inconsistent with gradient triple "
-                    f"value {derived!r}"
-                )
-        elif self.force is None:
-            raise ValueError("either force or the full gradient triple is required")
-
         if not math.isfinite(self.force):
             raise ValueError(f"force must be finite, got {self.force}")
 
@@ -247,26 +221,23 @@ def parse_config_text(text: str) -> dict[str, float]:
 
 
 def params_from_entries(entries: dict[str, float]) -> PhysicalParams:
-    for key in ("mass_kg", "sigma_m"):
+    for key in ("mass_kg", "force_N", "sigma_m"):
         if key not in entries:
             raise ValueError(f"config missing required key {key!r}")
     c_plus = complex(entries.get("c_plus_re", _ROOT_HALF), entries.get("c_plus_im", 0.0))
     c_minus = complex(entries.get("c_minus_re", _ROOT_HALF), entries.get("c_minus_im", 0.0))
     return PhysicalParams(
         mass=entries["mass_kg"],
-        force=entries.get("force_N"),
+        force=entries["force_N"],
         sigma=entries["sigma_m"],
         c_plus=c_plus,
         c_minus=c_minus,
-        g=entries.get("g"),
-        mu_B=entries.get("mu_B"),
-        B0=entries.get("B0"),
     )
 
 
 def params_to_entries(params: PhysicalParams) -> dict[str, float]:
     """Serialize parameters to config entries (inverse of parsing)."""
-    entries = {
+    return {
         "mass_kg": params.mass,
         "force_N": params.force,
         "sigma_m": params.sigma,
@@ -275,6 +246,3 @@ def params_to_entries(params: PhysicalParams) -> dict[str, float]:
         "c_minus_re": params.c_minus.real,
         "c_minus_im": params.c_minus.imag,
     }
-    if params.g is not None:
-        entries.update(g=params.g, mu_B=params.mu_B, B0=params.B0)
-    return entries

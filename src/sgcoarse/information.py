@@ -27,7 +27,6 @@ from scipy.special import xlogy
 from .core import DerivedScales, PhysicalParams, derive_scales
 from .dynamics import SpinorWavepacket, evolve_in_field
 from .numerics import gauss_window, real_quad
-from .phase_space import CoarsePixelSpec
 
 LN2 = math.log(2.0)
 
@@ -194,25 +193,24 @@ def _pixel_grid(extent, Delta: float, alignment: str) -> np.ndarray:
 
 def screen_distribution(
     state: SpinorWavepacket,
-    pixels,
+    Delta: float,
     extent=None,
     *,
     alignment: str = "center",
 ) -> ScreenDistribution:
     """Detection probabilities per pixel and the information they carry.
 
-    ``pixels`` is a CoarsePixelSpec (its position width is used) or a bare
-    width in meters.  ``extent`` is an (x_lo, x_hi) window in meters; by
-    default it is grown to hold essentially all of the probability.  The
-    pixel masses are exact error-function integrals of each Gaussian
-    branch.  Raises CoverageError if the extent misses more than 1e-8 of
-    the total mass.
+    ``Delta`` is the pixel width in meters.  ``extent`` is an (x_lo, x_hi)
+    window in meters; by default it is grown to hold essentially all of
+    the probability.  The pixel masses are exact error-function integrals
+    of each Gaussian branch.  Raises CoverageError if the extent misses
+    more than 1e-8 of the total mass.
 
     alignment='center' puts one pixel center at X = 0 (so a symmetric
     state gives I(0) = 0); alignment='edge' puts pixel boundaries on
     multiples of the width, so integer coarsenings nest.
     """
-    Delta = float(pixels.Delta if isinstance(pixels, CoarsePixelSpec) else pixels)
+    Delta = float(Delta)
     if not Delta > 0.0:
         raise ValueError(f"pixel width must be positive, got {Delta}")
     u = state.units

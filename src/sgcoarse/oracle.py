@@ -18,8 +18,9 @@ report measures.  dt defaults are solved from that phase bound.
 
 Both branches advance together as one (2, n) array: one forward and one
 inverse FFT per step.  The kick and drift factors depend only on the scaled
-dt, the scaled acceleration and the grid, so a state carries them to the
-next step and they are rebuilt only when one of those changes.
+dt, the scaled acceleration and the grid, which a step never changes, so a
+state carries them to the next step and they are rebuilt only when dt or the
+acceleration changes.
 """
 
 from __future__ import annotations
@@ -43,25 +44,12 @@ _WIDTH_MARGIN = 12.0
 
 @dataclass(frozen=True)
 class _StepPlan:
-    """Strang factors for one (dt, acceleration, grid), all scaled."""
+    """Strang factors for one (dt, acceleration) on a state's grid, all scaled."""
 
     dts: float
     accel: float
-    x: np.ndarray  # the grid they were built on, compared by identity
     kick: np.ndarray  # (2, n): half-kick of the + and - branch
     drift: np.ndarray  # (n,): spectral free flight over dts
-
-
-def _step_plan(state: GridState, dts: float, accel: float) -> _StepPlan:
-    """The state's carried plan if it matches (dts, accel, grid), else a new one."""
-    plan = state._plan
-    if plan is not None and plan.dts == dts and plan.accel == accel and plan.x is state.x:
-        return plan
-    k = 2.0 * np.pi * np.fft.fftfreq(state.x.size, d=state.dx)
-    drift = np.exp(-1j * k**2 * dts / 2.0)
-    # V_s = -a_s x
-    kick = np.stack([np.exp(1j * branch_sign(b) * accel * state.x * dts / 2.0) for b in ("+", "-")])
-    return _StepPlan(dts=dts, accel=accel, x=state.x, kick=kick, drift=drift)
 
 
 def _branch_norms(psi: np.ndarray) -> np.ndarray:
@@ -69,43 +57,44 @@ def _branch_norms(psi: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(psi) ** 2, axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridState:
-    """Spinor wavefunction sampled on a periodic grid (scaled units inside)."""
+    """Spinor wavefunction sampled on a periodic grid (scaled units inside).
+
+    `psi` holds the + and - branch as rows and `norms` their Σ|ψ|².  `plan`
+    is the Strang factors of the step that made the state, which the next
+    step reuses while its dt and acceleration are the same.
+    """
 
     params: PhysicalParams
     units: UnitSystem
     x: np.ndarray  # scaled positions
     dx: float  # scaled spacing
     t: float  # scaled elapsed time
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
+    psi: np.ndarray  # (2, n): rows are the + and - branch
+    norms: np.ndarray  # (2,): Σ|ψ|² of each row
     step_norm_drift: float = 0.0  # max per-step relative norm change so far
-    # Carried from the step that made this state: its Strang factors, and
-    # the (psi_plus, psi_minus, Σ|ψ|² per branch) it wrote, so the next
-    # step need not sum the same arrays again.
-    _plan: _StepPlan | None = field(default=None, repr=False, compare=False)
-    _norms: tuple | None = field(default=None, repr=False, compare=False)
+    plan: _StepPlan | None = field(default=None, repr=False, compare=False)
 
-    def psi(self, branch: str) -> np.ndarray:
-        return self.psi_plus if branch_sign(branch) > 0 else self.psi_minus
+    def branch(self, b: str) -> np.ndarray:
+        return self.psi[0 if branch_sign(b) > 0 else 1]
 
     def norm(self, branch: str) -> float:
-        return float(np.sum(np.abs(self.psi(branch)) ** 2) * self.dx)
+        return float(np.sum(np.abs(self.branch(branch)) ** 2) * self.dx)
 
     def mean_position(self, branch: str) -> float:
-        p = np.abs(self.psi(branch)) ** 2
+        p = np.abs(self.branch(branch)) ** 2
         return float(np.sum(self.x * p) * self.dx / (np.sum(p) * self.dx))
 
     def boundary_mass(self, margin: float = 2.0) -> float:
         """Probability within `margin` (scaled) of either grid edge."""
-        p_tot = (np.abs(self.psi_plus) ** 2 + np.abs(self.psi_minus) ** 2) * self.dx
+        p_tot = (np.abs(self.psi[0]) ** 2 + np.abs(self.psi[1]) ** 2) * self.dx
         edge = (self.x < self.x[0] + margin) | (self.x > self.x[-1] - margin)
         return float(np.sum(p_tot[edge])) / 2.0
 
     def overlap(self) -> complex:
         """Grid estimate of ⟨φ₋|φ₊⟩."""
-        return complex(np.sum(np.conj(self.psi_minus) * self.psi_plus) * self.dx)
+        return complex(np.sum(np.conj(self.psi[1]) * self.psi[0]) * self.dx)
 
 
 def _required_dx(params: PhysicalParams, t: float) -> float:
@@ -127,15 +116,15 @@ def make_grid_state(
         raise ValueError(f"grid needs at least 16 points, got {n}")
     units = UnitSystem.for_params(params)
     x = np.linspace(-half_width, half_width, n, endpoint=False)
-    psi = np.pi**-0.25 * np.exp(-(x**2) / 2.0).astype(complex)
+    psi = np.tile(np.pi**-0.25 * np.exp(-(x**2) / 2.0).astype(complex), (2, 1))
     return GridState(
         params=params,
         units=units,
         x=x,
         dx=float(x[1] - x[0]),
         t=0.0,
-        psi_plus=psi.copy(),
-        psi_minus=psi.copy(),
+        psi=psi,
+        norms=_branch_norms(psi),
     )
 
 
@@ -145,33 +134,30 @@ def step_split_operator(state: GridState, dt: float, params: PhysicalParams | No
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     dts = state.units.scale_time(dt)
-    plan = _step_plan(state, dts, state.units.scale_accel(params.accel))
-    cached = state._norms
-    if cached is not None and cached[0] is state.psi_plus and cached[1] is state.psi_minus:
-        n_in = cached[2]
-    else:
-        n_in = _branch_norms(np.stack([state.psi_plus, state.psi_minus]))
-    out = np.empty((2, state.x.size), dtype=complex)
-    np.multiply(plan.kick[0], state.psi_plus, out=out[0])
-    np.multiply(plan.kick[1], state.psi_minus, out=out[1])
+    accel = state.units.scale_accel(params.accel)
+    plan = state.plan
+    if plan is None or plan.dts != dts or plan.accel != accel:
+        k = 2.0 * np.pi * np.fft.fftfreq(state.x.size, d=state.dx)
+        # V_s = -a_s x
+        kick = np.stack([np.exp(1j * branch_sign(b) * accel * state.x * dts / 2.0) for b in ("+", "-")])
+        plan = _StepPlan(dts=dts, accel=accel, kick=kick, drift=np.exp(-1j * k**2 * dts / 2.0))
+    out = plan.kick * state.psi
     np.fft.fft(out, axis=-1, out=out)
     out *= plan.drift
     np.fft.ifft(out, axis=-1, out=out)
     out *= plan.kick
-    n_out = _branch_norms(out)
-    drift_max = max(state.step_norm_drift, float(np.max(np.abs(n_out / n_in - 1.0))))
-    psi_plus, psi_minus = out[0], out[1]
+    norms = _branch_norms(out)
+    drift_max = max(state.step_norm_drift, float(np.max(np.abs(norms / state.norms - 1.0))))
     return GridState(
         params=params,
         units=state.units,
         x=state.x,
         dx=state.dx,
         t=state.t + dts,
-        psi_plus=psi_plus,
-        psi_minus=psi_minus,
+        psi=out,
+        norms=norms,
         step_norm_drift=drift_max,
-        _plan=plan,
-        _norms=(psi_plus, psi_minus, n_out),
+        plan=plan,
     )
 
 
@@ -269,7 +255,7 @@ def _branch_error(grid: GridState, exact: SpinorWavepacket, branch: str) -> floa
     """Relative L2 error of the grid branch against the closed form."""
     x_si = grid.units.unscale_length(grid.x)
     ref = exact.amplitude(branch, x_si, weighted=False) / grid.units.amplitude
-    diff = np.abs(grid.psi(branch) - ref)
+    diff = np.abs(grid.branch(branch) - ref)
     num = np.sum(diff**2) * grid.dx
     den = np.sum(np.abs(ref) ** 2) * grid.dx
     return float(np.sqrt(num / den))

@@ -196,10 +196,10 @@ def _uniform_spacing(a: np.ndarray, what: str) -> float:
 def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     """Wigner matrix by direct Fourier transform of a sampled density matrix.
 
-    q values must lie within rho's own grid and are snapped to its nearest
-    node so that q ± y/2 stays on the grid; the y-trapezoid is then
-    spectrally accurate for the smooth decaying integrands produced by
-    Gaussian packets.
+    Each q must be a node of rho's own grid, to within 1e-6 of its spacing,
+    so that q ± y/2 stays on the grid; a q outside the grid or between two
+    nodes raises ValueError.  The y-trapezoid is then spectrally accurate
+    for the smooth decaying integrands produced by Gaussian packets.
     The phase table cos/sin(p y/ħ) is built once per call for y ≥ 0, and
     each row folds the integrand over ±y into its even and odd parts, so a
     row costs two real matrix products shared by all four spin pairs.
@@ -227,8 +227,14 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
             f"density matrix grid [{x[0]:.6e}, {x[-1]:.6e}] m"
         )
 
-    idx = np.clip(np.searchsorted(x, qa), 1, x.size - 1)
-    idx = np.where(np.abs(x[idx] - qa) < np.abs(x[idx - 1] - qa), idx, idx - 1)
+    idx = np.clip(np.rint((qa - x[0]) / dx).astype(int), 0, x.size - 1)
+    off = np.abs(qa - x[idx])
+    if off.size and off.max() > 1e-6 * dx:
+        k = int(np.argmax(off))
+        raise ValueError(
+            f"q = {qa[k]:.6e} m lies {off[k] / dx:.3g} grid steps from the nearest "
+            f"density matrix node; wigner_numeric evaluates q only at nodes"
+        )
 
     # Half-lengths m of each row's symmetric y-window.  The phase table for
     # -y is the conjugate of the one for +y, so only y = 2 dx j with j >= 0
@@ -276,7 +282,7 @@ def density_grid_for_wigner(
 ) -> DensityMatrixField:
     """Sample a density matrix on a uniform grid aligned with the q nodes and
     fine enough for wigner_numeric at momenta up to |p_max|.  The q nodes
-    must be uniformly spaced, since wigner_numeric snaps each q to a node."""
+    must be uniformly spaced, since wigner_numeric takes each q at a node."""
     qa = np.asarray(q, dtype=float)
     dq = state.params.sigma
     if qa.size > 1:
@@ -417,19 +423,8 @@ def default_phase_space_grid(
     )
 
 
-def wigner_field(
-    state: SpinorWavepacket,
-    q: np.ndarray | None = None,
-    p: np.ndarray | None = None,
-    method: str = "analytic",
-    n_q: int = 512,
-    n_p: int = 512,
-) -> WignerMatrixField:
-    """Evaluate the Wigner matrix of `state` on a (q,p) grid."""
-    if q is None or p is None:
-        dq, dp = default_phase_space_grid(state.params, state.t, n_q, n_p)
-        q = dq if q is None else q
-        p = dp if p is None else p
+def wigner_field(state: SpinorWavepacket, q, p, method: str = "analytic") -> WignerMatrixField:
+    """Evaluate the Wigner matrix of `state` on the axes q (m) and p (kg·m/s)."""
     if method == "analytic":
         return wigner_analytic(state, q, p)
     if method == "numeric":

@@ -160,6 +160,13 @@ def test_bad_config_key_exits_1(run_cli, tmp_path):
     assert run_cli(["entropy", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
 
+def test_config_without_force_exits_1(run_cli, tmp_path, capsys):
+    cfg = tmp_path / "noforce.cfg"
+    cfg.write_text("mass_kg = 1.79e-25\nsigma_m = 1e-6\n", encoding="utf-8")
+    assert run_cli(["entropy", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "missing required key 'force_N'" in capsys.readouterr().err
+
+
 def test_unwritable_out_exits_2(run_cli, silver_config, tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory", encoding="utf-8")

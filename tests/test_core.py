@@ -1,5 +1,6 @@
 """Parameters, derived timescales, configs, and the unit system."""
 
+import dataclasses
 import math
 
 import pytest
@@ -32,22 +33,15 @@ def test_zero_force_has_no_separation_scale():
         sg.derive_scales(sg.PhysicalParams.silver(force=0.0))
 
 
-def test_force_or_gradient_triple_required(silver):
-    with pytest.raises(ValueError):
+def test_force_is_the_only_coupling_input(silver):
+    with pytest.raises(TypeError):
         sg.PhysicalParams(mass=silver.mass, sigma=silver.sigma)
-    with pytest.raises(ValueError):
-        sg.PhysicalParams(mass=silver.mass, sigma=silver.sigma,
-                          force=silver.force, g=2.0)
-
-
-def test_gradient_triple_fixes_force(silver):
-    triple = dict(g=2.0, mu_B=9.2740100783e-24, B0=1.0e12)
-    derived = -triple["g"] * triple["mu_B"] * (silver.hbar / 2.0) * triple["B0"]
-    params = sg.PhysicalParams(mass=silver.mass, sigma=silver.sigma, **triple)
-    assert params.force == pytest.approx(derived, rel=1e-15)
-    with pytest.raises(ValueError):
-        sg.PhysicalParams(mass=silver.mass, sigma=silver.sigma,
-                          force=2.0 * derived, **triple)
+    with pytest.raises(ValueError, match="force_N"):
+        sg.params_from_entries({"mass_kg": silver.mass, "sigma_m": silver.sigma})
+    # F = -g mu_B (hbar/2) B0 has units of J^2 s/m, not N: no way in for it
+    for key in ("g", "mu_B", "B0"):
+        with pytest.raises(ValueError, match="unknown key"):
+            sg.parse_config_text(f"mass_kg = 1.79e-25\nsigma_m = 1e-6\n{key} = 2.0")
 
 
 def test_basic_parameter_validation(silver):
@@ -98,6 +92,25 @@ def test_parse_config_text_rejects(text):
 def test_entries_round_trip(silver):
     entries = sg.params_to_entries(silver)
     assert sg.params_from_entries(entries) == silver
+
+
+_NON_DEFAULT_FIELDS = {
+    "mass": 2.0e-25,
+    "force": -3.0e-22,
+    "sigma": 2.5e-6,
+    "c_plus": complex(0.0, 0.7071067811865476),
+    "c_minus": complex(-0.7071067811865476, 0.0),
+}
+
+
+def test_every_init_field_round_trips_through_the_header(silver):
+    # a field the header does not write could not be replayed from a file
+    names = [f.name for f in dataclasses.fields(sg.PhysicalParams) if f.init]
+    assert sorted(names) == sorted(_NON_DEFAULT_FIELDS)
+    for name in names:
+        params = dataclasses.replace(silver, **{name: _NON_DEFAULT_FIELDS[name]})
+        assert getattr(params, name) != getattr(silver, name)
+        assert sg.params_from_entries(sg.params_to_entries(params)) == params
 
 
 def test_entries_require_the_core_keys():

@@ -121,8 +121,8 @@ def test_numeric_transform_rejects_one_wide_gap(silver):
 
 
 def test_numeric_field_rejects_a_nonuniform_q_axis(state_early, silver):
-    # the rho grid is aligned with q[0] and q[1] - q[0]; an unequal later
-    # step would be snapped to a node without a word
+    # the rho grid is aligned with q[0] and q[1] - q[0], so an unequal later
+    # step would put q off rho's nodes
     q = np.array([0.0, 1e-7, 1.234567e-7])
     p = np.array([-1e-27, 0.0, 1e-27])
     with pytest.raises(ValueError, match="uniformly spaced"):
@@ -140,8 +140,7 @@ def _reference_wigner_numeric(rho, q, p):
     Returns the four complex blocks and the two residues (times hbar)."""
     x, hbar = rho.x, rho.params.hbar
     dx = float(x[1] - x[0])
-    idx = np.clip(np.searchsorted(x, q), 1, x.size - 1)
-    idx = np.where(np.abs(x[idx] - q) < np.abs(x[idx - 1] - q), idx, idx - 1)
+    idx = np.rint((q - x[0]) / dx).astype(int)
     out = {pair: np.empty((q.size, p.size), dtype=complex) for pair in SPIN_PAIRS}
     amps = {"+": rho.amp_plus, "-": rho.amp_minus}
     for row, i in enumerate(idx):
@@ -167,8 +166,8 @@ def test_folded_numeric_transform_matches_the_per_row_loop(silver, weights):
     x = dx * (np.arange(401) - 200.0)
     rho = sg.density_matrix(state, x)
     q = np.array([
-        x[0], x[3] + 0.3 * dx, x[150] + 0.5 * dx,      # low end, between nodes
-        x[200], x[261] - 0.45 * dx, x[-1],             # centre, high end
+        x[0], x[3], x[150],                            # low end
+        x[200], x[261], x[-1],                         # centre, high end
     ])
     width_p = params.hbar / (np.sqrt(2.0) * params.sigma)
     p = np.concatenate([np.linspace(-3.0 * width_p, 3.0 * width_p, 7), [1e-30]])
@@ -193,6 +192,19 @@ def test_numeric_transform_rejects_q_outside_the_density_grid(silver, offset):
     edge = x[0] if offset < 0 else x[-1]
     q = np.array([x[200], edge + offset * dx])
     with pytest.raises(ValueError, match="outside the density matrix grid"):
+        sg.wigner_numeric(rho, q, np.array([0.0]))
+
+
+@pytest.mark.parametrize("offset", [0.3, 0.5, -0.45])
+def test_numeric_transform_rejects_q_between_nodes(silver, offset):
+    # the transform samples rho at q +- y/2 on its nodes; a q between nodes
+    # would get the nearest node's value under the requested label
+    state = sg.evolve_in_field(silver, 1.0e-5)
+    dx = 3.5e-9
+    x = dx * (np.arange(401) - 200.0)
+    rho = sg.density_matrix(state, x)
+    q = np.array([x[200], x[150] + offset * dx])
+    with pytest.raises(ValueError, match="nearest density matrix node"):
         sg.wigner_numeric(rho, q, np.array([0.0]))
 
 
@@ -360,7 +372,7 @@ def test_coarse_position_density_matches_quadrature(state_late, silver):
 
 def test_wigner_field_method_validation(state_early):
     with pytest.raises(ValueError):
-        sg.wigner_field(state_early, method="magic")
+        sg.wigner_field(state_early, np.array([0.0]), np.array([0.0]), method="magic")
 
 
 # ---------------------------------------------------------------------------
