@@ -8,7 +8,8 @@ Every output starts with '#'-prefixed header lines echoing the tool
 version and the fully resolved configuration.  Rerunning a subcommand
 with --config pointing at one of its own outputs reproduces the CSV body
 byte for byte: numbers are serialized with 17 significant digits, and no
-timestamps or environment state enter the files.
+timestamps or environment state enter the files.  Another subcommand's
+output supplies only its physical parameters.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 verification failure.
 """
@@ -70,10 +71,13 @@ def _load_config(path: str):
 
     A file whose first line is '# sgcoarse <version>' is one of our
     outputs: its '# key = value' header lines are split into physical
-    parameters (known config keys) and subcommand settings.  Reading
-    stops at the first line that is not a '#' line, so the data body is
-    never read.  Anything else is parsed as a plain key = value config
-    file.
+    parameters (known config keys) and subcommand settings, the
+    'command' line among them.  main applies the settings only when that
+    line names the running subcommand; for any other subcommand the file
+    supplies just the physical parameters.  Reading stops at the first
+    line that is not a '#' line, so the data body is never read.
+    Anything else is parsed as a plain key = value config file, which
+    has no settings.
     """
     with open(path, "rb") as fh:
         first = fh.readline().decode("utf-8")
@@ -101,20 +105,21 @@ def _load_config(path: str):
     return params_from_entries(entries), settings
 
 
-def _resolve(args, settings: dict[str, str], key: str, default, cast):
-    """Priority: explicit flag > config-file setting > default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in settings:
-        return cast(settings[key])
-    return default
+def _echo(value) -> str:
+    """A setting as its header line writes it."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, tuple):
+        return "%dx%d" % value
+    return str(value)
 
 
 def _header(command: str, params: PhysicalParams, settings: dict, columns: str) -> list[str]:
     lines = [f"# {_TOOL} {VERSION}", f"# command = {command}"]
     for key, value in settings.items():
-        lines.append(f"# {key} = {value}")
+        lines.append(f"# {key} = {_echo(value)}")
     for key, value in params_to_entries(params).items():
         lines.append(f"# {key} = {_fmt(value)}")
     lines.append(f"# columns: {columns}")
@@ -133,33 +138,26 @@ def _write_csv(path: str, header: list[str], column_row: str, rows) -> None:
     print(f"wrote {path}")
 
 
-def _cmd_entropy(args, params: PhysicalParams, settings) -> int:
-    t0 = _resolve(args, settings, "t_start_s", 0.0, float)
-    t1 = _resolve(args, settings, "t_stop_s", 2e-6, float)
-    n = _resolve(args, settings, "points", 400, int)
-    scales = derive_scales(params)
-    series = entanglement_series(scales, np.linspace(t0, t1, n), params)
-    echo = {"t_start_s": _fmt(t0), "t_stop_s": _fmt(t1), "points": str(n)}
-    header = _header("entropy", params, echo, "t [s], A [1], S_ent [nat]")
+def _cmd_entropy(out: str, params: PhysicalParams, s: dict) -> int:
+    times = np.linspace(s["t_start_s"], s["t_stop_s"], s["points"])
+    series = entanglement_series(derive_scales(params), times, params)
+    header = _header("entropy", params, s, "t [s], A [1], S_ent [nat]")
     rows = zip(series.times, series.A_values, series.S_ent)
-    _write_csv(os.path.join(args.out, "entropy.csv"), header, "t,A,S_ent", rows)
+    _write_csv(os.path.join(out, "entropy.csv"), header, "t,A,S_ent", rows)
     return 0
 
 
-def _cmd_density(args, params: PhysicalParams, settings) -> int:
-    t = _resolve(args, settings, "t_s", 22.5e-6, float)
-    n = _resolve(args, settings, "points", 2001, int)
-    state = evolve_in_field(params, t)
-    x, _ = default_phase_space_grid(params, t, n, 2)
+def _cmd_density(out: str, params: PhysicalParams, s: dict) -> int:
+    state = evolve_in_field(params, s["t_s"])
+    x, _ = default_phase_space_grid(params, s["t_s"], s["points"], 2)
     rho_p = state.density("+", x)
     rho_m = state.density("-", x)
-    echo = {"t_s": _fmt(t), "points": str(n)}
     header = _header(
-        "density", params, echo,
+        "density", params, s,
         "x [m], rho_plus [1/m], rho_minus [1/m], rho_total [1/m]",
     )
     rows = zip(x, rho_p, rho_m, rho_p + rho_m)
-    _write_csv(os.path.join(args.out, "density.csv"), header,
+    _write_csv(os.path.join(out, "density.csv"), header,
                "x,rho_plus,rho_minus,rho_total", rows)
     return 0
 
@@ -178,83 +176,56 @@ def _wigner_rows(field, proj):
         )
 
 
-def _cmd_wigner(args, params: PhysicalParams, settings) -> int:
-    if args.t is not None:
-        times = [args.t]
-    elif "t_s" in settings:
-        times = [float(settings["t_s"])]
-    else:
-        times = [1e-6, 30e-6]
+def _cmd_wigner(out: str, params: PhysicalParams, s: dict) -> int:
+    pixels = s.pop("pixels")
+    if pixels is not None:
+        s["coarse"] = True
+        s["Delta_m"], s["delta_kgm_s"] = pixels
+    grids = [("wigner", s["grid"], None)]
+    if s["coarse"]:
+        spec = CoarsePixelSpec(Delta=s["Delta_m"], delta=s["delta_kgm_s"])
+        grids.append(("wigner_coarse", s["coarse_grid"], spec))
+    else:  # a fine-only header carries no pixel settings
+        for key in ("Delta_m", "delta_kgm_s", "coarse_grid"):
+            del s[key]
 
-    n_q, n_p = _resolve(args, settings, "grid", (512, 512), _parse_grid_str)
-    coarse = _resolve(args, settings, "coarse", False, lambda s: s == "1")
-    if args.pixels is not None:
-        coarse = True
-        delta_m, delta_p = args.pixels
-    elif "Delta_m" in settings:
-        delta_m = float(settings["Delta_m"])
-        delta_p = float(settings["delta_kgm_s"])
-    else:
-        spec = CoarsePixelSpec.default()
-        delta_m, delta_p = spec.Delta, spec.delta
-    nc_q, nc_p = _resolve(args, settings, "coarse_grid", (128, 128), _parse_grid_str)
-
-    x_hat = (1.0, 0.0, 0.0)
-    for t in times:
-        state = evolve_in_field(params, t)
-        echo = {
-            "t_s": _fmt(t),
-            "grid": f"{n_q}x{n_p}",
-            "coarse": "1" if coarse else "0",
-        }
-        if coarse:
-            echo["Delta_m"] = _fmt(delta_m)
-            echo["delta_kgm_s"] = _fmt(delta_p)
-            echo["coarse_grid"] = f"{nc_q}x{nc_p}"
+    for t in [1e-6, 30e-6] if s["t_s"] is None else [s["t_s"]]:
+        s["t_s"] = t
         header = _header(
-            "wigner", params, echo,
+            "wigner", params, s,
             "q [m], p [kg m/s], W_pp W_mm Re_W_pm Im_W_pm W_proj_x [1/(J s)]",
         )
-
-        q, p = default_phase_space_grid(params, t, n_q, n_p)
-        field = wigner_field(state, q, p, method="analytic")
-        proj = project_spin_direction(field, x_hat)
-        name = f"wigner_t{t:g}.csv"
-        _write_csv(os.path.join(args.out, name), header,
-                   WIGNER_CSV_HEADER + ",W_proj_x", _wigner_rows(field, proj))
-
-        if coarse:
-            q, p = default_phase_space_grid(params, t, nc_q, nc_p)
-            fine = wigner_field(state, q, p, method="analytic")
-            bar = coarse_grain(fine, CoarsePixelSpec(Delta=delta_m, delta=delta_p))
-            proj_bar = project_spin_direction(bar, x_hat)
-            name = f"wigner_coarse_t{t:g}.csv"
-            _write_csv(os.path.join(args.out, name), header,
-                       WIGNER_CSV_HEADER + ",W_proj_x", _wigner_rows(bar, proj_bar))
+        state = evolve_in_field(params, t)
+        for name, (n_q, n_p), spec in grids:
+            q, p = default_phase_space_grid(params, t, n_q, n_p)
+            field = wigner_field(state, q, p, method="analytic")
+            if spec is not None:
+                field = coarse_grain(field, spec)
+            proj = project_spin_direction(field, (1.0, 0.0, 0.0))
+            _write_csv(os.path.join(out, f"{name}_t{t:g}.csv"), header,
+                       WIGNER_CSV_HEADER + ",W_proj_x", _wigner_rows(field, proj))
     return 0
 
 
-def _cmd_info(args, params: PhysicalParams, settings) -> int:
-    t0 = _resolve(args, settings, "t_start_s", 0.0, float)
-    t1 = _resolve(args, settings, "t_stop_s", 5e-5, float)
-    n = _resolve(args, settings, "points", 200, int)
-    times, H, S = information_series(params, np.linspace(t0, t1, n))
-    echo = {"t_start_s": _fmt(t0), "t_stop_s": _fmt(t1), "points": str(n)}
-    header = _header("info", params, echo, "t [s], H [nat], S_ent [nat]")
-    _write_csv(os.path.join(args.out, "info.csv"), header, "t,H,S_ent",
+def _cmd_info(out: str, params: PhysicalParams, s: dict) -> int:
+    times = np.linspace(s["t_start_s"], s["t_stop_s"], s["points"])
+    times, H, S = information_series(params, times)
+    header = _header("info", params, s, "t [s], H [nat], S_ent [nat]")
+    _write_csv(os.path.join(out, "info.csv"), header, "t,H,S_ent",
                zip(times, H, S))
     return 0
 
 
-def _cmd_verify(args, params: PhysicalParams, settings) -> int:
+def _cmd_verify(out: str, params: PhysicalParams, s: dict) -> int:
     scales = derive_scales(params)
-    default_list = f"{_fmt(0.1 * scales.tau3)},{_fmt(scales.tau3)},{_fmt(0.01 * scales.tau2)}"
-    t_list_str = _resolve(args, settings, "t_list_s", default_list, str)
-    t_list = [float(v) for v in t_list_str.split(",") if v.strip()]
-    n = _resolve(args, settings, "n_grid", 4096, int)
-    half_width = _resolve(args, settings, "half_width", 10.0, float)
-    coarse_dt = bool(args.coarse_dt) or settings.get("coarse_dt") == "1"
-    factor = _COARSE_DT_FACTOR if coarse_dt else 1.0
+    if s["t_list_s"] is None:
+        probes = (0.1 * scales.tau3, scales.tau3, 0.01 * scales.tau2)
+        s["t_list_s"] = ",".join(_fmt(t) for t in probes)
+    t_list = [float(v) for v in s["t_list_s"].split(",") if v.strip()]
+    if not t_list:
+        raise ValueError(f"t_list_s names no time: {s['t_list_s']!r}")
+    n, half_width = s["n_grid"], s["half_width"]
+    factor = _COARSE_DT_FACTOR if s["coarse_dt"] else 1.0
 
     rows = []
     for t in t_list:
@@ -263,36 +234,31 @@ def _cmd_verify(args, params: PhysicalParams, settings) -> int:
     _, orders = convergence_order(params, scales.tau3, n=n, half_width=half_width)
     order = min(orders)
 
-    echo = {
-        "t_list_s": t_list_str,
-        "n_grid": str(n),
-        "half_width": _fmt(half_width),
-        "coarse_dt": "1" if coarse_dt else "0",
-        "observed_convergence_order": _fmt(order),
-    }
+    s["observed_convergence_order"] = order
     header = _header(
-        "verify", params, echo,
+        "verify", params, s,
         "t [s], l2_err_plus [1], l2_err_minus [1], overlap_dev [1], norm_drift [1]",
     )
     _write_csv(
-        os.path.join(args.out, "verify.csv"), header,
+        os.path.join(out, "verify.csv"), header,
         "t,l2_err_plus,l2_err_minus,overlap_dev,norm_drift",
         ((r.t, r.l2_err_plus, r.l2_err_minus, r.overlap_dev, r.norm_drift) for r in rows),
     )
 
+    # each check is written so that a NaN fails it
     failures = []
     report = OracleReport(params, n, half_width, tuple(rows))
     max_l2 = report.max_l2
     max_ov = report.max_overlap_dev
     max_nd = report.max_norm_drift
-    if max_l2 > _TOL_L2:
+    if not (max_l2 <= _TOL_L2):
         detail = f"max relative L2 error {max_l2:.3e} exceeds {_TOL_L2:g}"
-        if coarse_dt:
+        if s["coarse_dt"]:
             detail += f" (convergence warning: dt deliberately coarsened x{factor:g})"
         failures.append(("closed_form_l2", detail))
-    if max_ov > _TOL_OVERLAP:
+    if not (max_ov <= _TOL_OVERLAP):
         failures.append(("overlap", f"max overlap deviation {max_ov:.3e} exceeds {_TOL_OVERLAP:g}"))
-    if max_nd > _TOL_NORM_DRIFT:
+    if not (max_nd <= _TOL_NORM_DRIFT):
         failures.append(("norm_drift", f"max per-step norm drift {max_nd:.3e} exceeds {_TOL_NORM_DRIFT:g}"))
     if not (abs(order - 2.0) <= _TOL_ORDER):
         failures.append(("convergence_order", f"observed order {order:.3f} outside 2.0 +- {_TOL_ORDER:g}"))
@@ -307,7 +273,7 @@ def _cmd_verify(args, params: PhysicalParams, settings) -> int:
     return 0
 
 
-def _parse_grid_str(text: str) -> tuple[int, int]:
+def _grid(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise ValueError(f"grid must look like 512x512, got {text!r}")
@@ -317,24 +283,57 @@ def _parse_grid_str(text: str) -> tuple[int, int]:
     return n_q, n_p
 
 
-def _grid_arg(text: str) -> tuple[int, int]:
-    try:
-        return _parse_grid_str(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _pixels(text: str) -> tuple[float, float]:
+    delta_m, delta_p = text.split(",")
+    return float(delta_m), float(delta_p)
 
 
-def _pixels_arg(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"pixels must look like DELTA,delta, got {text!r}")
-    try:
-        d, dd = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    if d <= 0 or dd <= 0:
-        raise argparse.ArgumentTypeError("pixel sizes must be positive")
-    return d, dd
+def _bool(text: str) -> bool:
+    return text == "1"
+
+
+# Each subcommand's settings, declared once: the parser, the flag > header >
+# default order and the header echo are all made from this table.  Each
+# subcommand: (handler, help, settings), one row per setting:
+#     (flag, header key, parser, default[, help])
+# The flag is None for a setting that only a header gives; the header key
+# is also the flag's dest.  The parser reads the flag's or the header's
+# text, and a _bool flag takes no value.  A None default is worked out by
+# the handler.
+_COMMANDS = {
+    "entropy": (_cmd_entropy, "entanglement entropy sweep -> entropy.csv", (
+        ("--t0", "t_start_s", float, 0.0),
+        ("--t1", "t_stop_s", float, 2e-6),
+        ("--points", "points", int, 400),
+    )),
+    "density": (_cmd_density, "position densities at one time -> density.csv", (
+        ("--t", "t_s", float, 22.5e-6),
+        ("--points", "points", int, 2001),
+    )),
+    "wigner": (_cmd_wigner, "Wigner matrix grid(s) -> wigner_t*.csv", (
+        ("--t", "t_s", float, None, "single time (default: 1e-6 and 30e-6 s)"),
+        ("--grid", "grid", _grid, (512, 512), "fine grid, e.g. 512x512"),
+        ("--pixels", "pixels", _pixels, None,
+         "coarse pixel spec DELTA_m,delta_kgm_s (implies --coarse)"),
+        ("--coarse", "coarse", _bool, False,
+         "also write the pixel-averaged grid (default pixel spec)"),
+        (None, "Delta_m", float, CoarsePixelSpec.default().Delta),
+        (None, "delta_kgm_s", float, CoarsePixelSpec.default().delta),
+        ("--coarse-grid", "coarse_grid", _grid, (128, 128), "coarse grid, e.g. 128x128"),
+    )),
+    "info": (_cmd_info, "mean information per event sweep -> info.csv", (
+        ("--t0", "t_start_s", float, 0.0),
+        ("--t1", "t_stop_s", float, 5e-5),
+        ("--points", "points", int, 200),
+    )),
+    "verify": (_cmd_verify, "grid integrator vs closed forms -> verify.csv", (
+        ("--t-list", "t_list_s", str, None, "comma-separated times in s"),
+        ("--n", "n_grid", int, 4096, "grid points (default 4096)"),
+        ("--half-width", "half_width", float, 10.0),
+        ("--coarse-dt", "coarse_dt", _bool, False,
+         "deliberately coarsen dt to demonstrate the failure path"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,53 +344,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog=_TOOL, description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"{_TOOL} {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("entropy", parents=[common],
-                       help="entanglement entropy sweep -> entropy.csv")
-    p.add_argument("--t0", dest="t_start_s", type=float)
-    p.add_argument("--t1", dest="t_stop_s", type=float)
-    p.add_argument("--points", type=int)
-
-    p = sub.add_parser("density", parents=[common],
-                       help="position densities at one time -> density.csv")
-    p.add_argument("--t", dest="t_s", type=float)
-    p.add_argument("--points", type=int)
-
-    p = sub.add_parser("wigner", parents=[common],
-                       help="Wigner matrix grid(s) -> wigner_t*.csv")
-    p.add_argument("--t", type=float, help="single time (default: 1e-6 and 30e-6 s)")
-    p.add_argument("--grid", dest="grid", type=_grid_arg, help="fine grid, e.g. 512x512")
-    p.add_argument("--pixels", type=_pixels_arg,
-                   help="coarse pixel spec DELTA_m,delta_kgm_s (implies --coarse)")
-    p.add_argument("--coarse", action="store_const", const=True, dest="coarse",
-                   help="also write the pixel-averaged grid (default pixel spec)")
-    p.add_argument("--coarse-grid", dest="coarse_grid", type=_grid_arg,
-                   help="coarse grid, e.g. 128x128")
-
-    p = sub.add_parser("info", parents=[common],
-                       help="mean information per event sweep -> info.csv")
-    p.add_argument("--t0", dest="t_start_s", type=float)
-    p.add_argument("--t1", dest="t_stop_s", type=float)
-    p.add_argument("--points", type=int)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="grid integrator vs closed forms -> verify.csv")
-    p.add_argument("--t-list", dest="t_list_s", help="comma-separated times in s")
-    p.add_argument("--n", dest="n_grid", type=int, help="grid points (default 4096)")
-    p.add_argument("--half-width", dest="half_width", type=float)
-    p.add_argument("--coarse-dt", action="store_true",
-                   help="deliberately coarsen dt to demonstrate the failure path")
-
+    for command, (_, help_text, rows) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for flag, key, kind, _, *help_flag in rows:
+            if flag is None:
+                continue
+            kw = dict(action="store_const", const=True) if kind is _bool else dict(type=kind)
+            p.add_argument(flag, dest=key, help=help_flag[0] if help_flag else None, **kw)
     return parser
 
 
-_COMMANDS = {
-    "entropy": _cmd_entropy,
-    "density": _cmd_density,
-    "wigner": _cmd_wigner,
-    "info": _cmd_info,
-    "verify": _cmd_verify,
-}
+def _settings(rows, args, header: dict[str, str]) -> dict:
+    """Each setting from its flag, else from the header, else its default."""
+    settings = {}
+    for _, key, kind, default, *_ in rows:
+        value = getattr(args, key, None)
+        if value is None:
+            value = kind(header[key]) if key in header else default
+        settings[key] = value
+    return settings
 
 
 def main(argv=None) -> int:
@@ -400,15 +371,17 @@ def main(argv=None) -> int:
 
     try:
         if args.config is not None:
-            params, settings = _load_config(args.config)
+            params, header = _load_config(args.config)
         else:
-            params, settings = PhysicalParams.silver(), {}
+            params, header = PhysicalParams.silver(), {}
     except OSError as exc:
         print(f"{_TOOL}: cannot read config: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
         print(f"{_TOOL}: bad config: {exc}", file=sys.stderr)
         return 1
+    if header.get("command") != args.command:
+        header = {}  # another subcommand's settings do not apply here
 
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -416,8 +389,9 @@ def main(argv=None) -> int:
         print(f"{_TOOL}: cannot create output directory: {exc}", file=sys.stderr)
         return 2
 
+    handler, _, rows = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args, params, settings)
+        return handler(args.out, params, _settings(rows, args, header))
     except OSError as exc:
         print(f"{_TOOL}: I/O error: {exc}", file=sys.stderr)
         return 2

@@ -70,15 +70,15 @@ class PhysicalParams:
     hbar: ClassVar[float] = HBAR
 
     def __post_init__(self) -> None:
-        if not (self.mass > 0.0):
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if not (self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (0.0 < self.mass < math.inf):
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        if not (0.0 < self.sigma < math.inf):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not math.isfinite(self.force):
             raise ValueError(f"force must be finite, got {self.force}")
 
         norm = abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not (abs(norm - 1.0) <= 1e-12):
             raise ValueError(f"spin weights not normalized: |c+|^2+|c-|^2 = {norm!r}")
 
     @classmethod

@@ -177,8 +177,8 @@ class SpinorWavepacket:
 
 def evolve_in_field(params: PhysicalParams, t: float) -> SpinorWavepacket:
     """State after time t inside the gradient, from the canonical packet."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not (0.0 <= t < math.inf):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     units = UnitSystem.for_params(params)
     ts = units.scale_time(t)
     a = units.scale_accel(params.accel)
@@ -194,10 +194,10 @@ def evolve_in_field(params: PhysicalParams, t: float) -> SpinorWavepacket:
 
 def evolve_free_after_field(params: PhysicalParams, t1: float, t: float) -> SpinorWavepacket:
     """State at time t after leaving the gradient at t1 (0 ≤ t1 ≤ t)."""
-    if t1 < 0.0:
-        raise ValueError(f"exit time must be nonnegative, got {t1}")
-    if t < t1:
-        raise ValueError(f"time {t} precedes field exit {t1}")
+    if not (0.0 <= t1 < math.inf):
+        raise ValueError(f"exit time must be finite and nonnegative, got {t1}")
+    if not (t1 <= t < math.inf):
+        raise ValueError(f"time must be finite and not precede field exit {t1}, got {t}")
     state = evolve_in_field(params, t1)
     if t == t1:
         return state

@@ -71,8 +71,8 @@ def overlap_decay(t, scales: DerivedScales):
     fixes the t ~ τ₃ entanglement timescale.  Times in seconds.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("time must be nonnegative")
+    if not np.all((t >= 0.0) & (t < np.inf)):
+        raise ValueError("time must be finite and nonnegative")
     expo = t * t * (t * t + scales.tau2**2) / scales.tau1**4
     out = np.exp(-expo)
     return float(out) if out.ndim == 0 else out

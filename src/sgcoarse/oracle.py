@@ -114,6 +114,8 @@ def make_grid_state(
     """Canonical initial packet sampled on a 2·half_width (scaled) grid."""
     if n < 16:
         raise ValueError(f"grid needs at least 16 points, got {n}")
+    if not (0.0 < half_width < math.inf):
+        raise ValueError(f"half_width must be positive and finite, got {half_width}")
     units = UnitSystem.for_params(params)
     x = np.linspace(-half_width, half_width, n, endpoint=False)
     psi = np.tile(np.pi**-0.25 * np.exp(-(x**2) / 2.0).astype(complex), (2, 1))
@@ -204,8 +206,8 @@ def evolve_grid(
     half_width: float = DEFAULT_HALF_WIDTH,
 ) -> GridState:
     """Integrate the canonical packet to SI time t on the grid."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not (0.0 <= t < math.inf):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     if dt is not None and dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     _check_resolution(params, t, n, half_width)
@@ -238,17 +240,19 @@ class OracleReport:
     half_width: float
     rows: tuple[OracleRow, ...]
 
+    # np.max, unlike max(), returns NaN when any value is NaN, so a check
+    # on the result cannot pass over it
     @property
     def max_l2(self) -> float:
-        return max(max(r.l2_err_plus, r.l2_err_minus) for r in self.rows)
+        return float(np.max([(r.l2_err_plus, r.l2_err_minus) for r in self.rows]))
 
     @property
     def max_overlap_dev(self) -> float:
-        return max(r.overlap_dev for r in self.rows)
+        return float(np.max([r.overlap_dev for r in self.rows]))
 
     @property
     def max_norm_drift(self) -> float:
-        return max(r.norm_drift for r in self.rows)
+        return float(np.max([r.norm_drift for r in self.rows]))
 
 
 def _branch_error(grid: GridState, exact: SpinorWavepacket, branch: str) -> float:

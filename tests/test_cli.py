@@ -1,10 +1,15 @@
 """Command line interface: outputs, headers, reruns, and exit codes."""
 
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 
 import sgcoarse as sg
 from sgcoarse import cli
+from sgcoarse.core import CONFIG_KEYS
 
 
 def test_entropy_output(tmp_path, silver_config, run_cli, read_csv):
@@ -22,18 +27,24 @@ def test_entropy_output(tmp_path, silver_config, run_cli, read_csv):
     assert np.all(np.diff(rows[:, 2]) >= -1e-12)
 
 
-def test_entropy_and_info_follow_unequal_weights(tmp_path, run_cli, read_csv):
-    # with |c+|^2 = 0.36 both files saturate at the prior entropy, not ln 2
-    params = sg.PhysicalParams.silver(c_plus=0.6 + 0j, c_minus=0.8 + 0j)
-    cfg = tmp_path / "w.cfg"
+def _weighted_config(tmp_path, **overrides):
+    """Plain key = value config of the silver parameters with overrides."""
+    params = sg.PhysicalParams.silver(**overrides)
+    cfg = tmp_path / "params.cfg"
     cfg.write_text("".join(f"{key} = {format(value, '.17g')}\n"
                            for key, value in sg.params_to_entries(params).items()),
                    encoding="utf-8")
+    return str(cfg)
+
+
+def test_entropy_and_info_follow_unequal_weights(tmp_path, run_cli, read_csv):
+    # with |c+|^2 = 0.36 both files saturate at the prior entropy, not ln 2
+    cfg = _weighted_config(tmp_path, c_plus=0.6 + 0j, c_minus=0.8 + 0j)
     prior = -(0.36 * np.log(0.36) + 0.64 * np.log(0.64))
     out = tmp_path / "run"
-    assert run_cli(["entropy", "--config", str(cfg), "--out", str(out),
+    assert run_cli(["entropy", "--config", cfg, "--out", str(out),
                     "--t1", "2e-5", "--points", "5"]) == 0
-    assert run_cli(["info", "--config", str(cfg), "--out", str(out),
+    assert run_cli(["info", "--config", cfg, "--out", str(out),
                     "--points", "5"]) == 0
     _, _, entropy = read_csv(out / "entropy.csv")
     _, _, info = read_csv(out / "info.csv")
@@ -149,6 +160,13 @@ def test_bad_grid_argument_exits_1(run_cli, silver_config, tmp_path):
                     "--out", str(tmp_path), "--grid", "64"]) == 1
 
 
+@pytest.mark.parametrize("pixels", ["1e-06", "1e-06,2e-25,3", "0,1e-25", "1e-06,nan"])
+def test_bad_pixel_argument_exits_1(run_cli, tmp_path, pixels):
+    assert run_cli(["wigner", "--out", str(tmp_path), "--t", "3e-05", "--grid", "4x4",
+                    "--pixels", pixels]) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_missing_config_exits_2(run_cli, tmp_path):
     assert run_cli(["entropy", "--config", str(tmp_path / "absent.cfg"),
                     "--out", str(tmp_path)]) == 2
@@ -244,3 +262,132 @@ def test_replay_from_each_output_is_identical(tmp_path, silver_config, run_cli, 
                         "--out", str(again)]) == 0
         for name in files:
             assert (again / name).read_bytes() == (first / name).read_bytes(), (source, name)
+
+
+def test_header_settings_apply_only_to_their_own_subcommand(tmp_path, run_cli, read_csv):
+    cfg = _weighted_config(tmp_path, c_plus=0.6 + 0j, c_minus=0.8 + 0j)
+    a, b, c, d = (tmp_path / name for name in "abcd")
+    assert run_cli(["entropy", "--config", cfg, "--out", str(a),
+                    "--t1", "1e-6", "--points", "7"]) == 0
+    # info reads the entropy file's physical parameters but its own defaults
+    assert run_cli(["info", "--config", str(a / "entropy.csv"), "--out", str(b)]) == 0
+    entropy_header, _, _ = read_csv(a / "entropy.csv")
+    info_header, _, rows = read_csv(b / "info.csv")
+    assert rows.shape == (200, 3)
+    assert "# t_stop_s = 5.0000000000000002e-05" in info_header
+    assert "# points = 200" in info_header
+    physical = [line for line in entropy_header
+                if line.split(" = ")[0][2:] in CONFIG_KEYS]
+    assert "# c_plus_re = 0.59999999999999998" in physical
+    assert [line for line in info_header if line in physical] == physical
+    # the same as info from a plain config of those parameters
+    assert run_cli(["info", "--config", cfg, "--out", str(c)]) == 0
+    assert (b / "info.csv").read_bytes() == (c / "info.csv").read_bytes()
+    # a same-command replay still takes every setting from the header
+    assert run_cli(["entropy", "--config", str(a / "entropy.csv"), "--out", str(d)]) == 0
+    assert (a / "entropy.csv").read_bytes() == (d / "entropy.csv").read_bytes()
+
+
+_EVERY_FLAG = {
+    "entropy": (["--t0", "1e-07", "--t1", "3e-06", "--points", "7"],
+                ["# t_start_s = 9.9999999999999995e-08",
+                 "# t_stop_s = 3.0000000000000001e-06", "# points = 7"], 0),
+    "info": (["--t0", "1e-06", "--t1", "2e-05", "--points", "4"],
+             ["# t_start_s = 9.9999999999999995e-07",
+              "# t_stop_s = 2.0000000000000002e-05", "# points = 4"], 0),
+    "density": (["--t", "1e-05", "--points", "31"],
+                ["# t_s = 1.0000000000000001e-05", "# points = 31"], 0),
+    "wigner-pixels": (["--t", "2e-06", "--grid", "12x10", "--pixels", "2e-06,1e-25",
+                       "--coarse-grid", "6x4"],
+                      ["# t_s = 1.9999999999999999e-06", "# grid = 12x10", "# coarse = 1",
+                       "# Delta_m = 1.9999999999999999e-06",
+                       "# delta_kgm_s = 1e-25", "# coarse_grid = 6x4"], 0),
+    "wigner-coarse": (["--t", "2e-06", "--grid", "12x10", "--coarse", "--coarse-grid", "6x4"],
+                      ["# t_s = 1.9999999999999999e-06", "# grid = 12x10", "# coarse = 1",
+                       "# coarse_grid = 6x4"], 0),
+    "verify": (["--t-list", "1e-08,2.2752358511326858e-07", "--n", "2048",
+                "--half-width", "12", "--coarse-dt"],
+               ["# t_list_s = 1e-08,2.2752358511326858e-07", "# n_grid = 2048",
+                "# half_width = 12", "# coarse_dt = 1"], 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_EVERY_FLAG))
+def test_every_flag_is_echoed_and_replays(tmp_path, run_cli, read_csv, case):
+    flags, echo, code = _EVERY_FLAG[case]
+    command = case.split("-")[0]
+    first = tmp_path / "first"
+    assert run_cli([command, "--out", str(first)] + flags) == code
+    outputs = sorted(first.iterdir())
+    for path in outputs:
+        header, _, _ = read_csv(path)
+        assert [line for line in header if line in echo] == echo, path.name
+        again = tmp_path / f"replay-{path.name}"
+        assert run_cli([command, "--config", str(path), "--out", str(again)]) == code
+        assert sorted(p.name for p in again.iterdir()) == [p.name for p in outputs]
+        for other in outputs:
+            assert (again / other.name).read_bytes() == other.read_bytes(), (path.name, other.name)
+
+
+_HELP_FLAGS = {
+    "entropy": ["--t0", "--t1", "--points"],
+    "density": ["--t", "--points"],
+    "wigner": ["--t", "--grid", "--pixels", "--coarse", "--coarse-grid"],
+    "info": ["--t0", "--t1", "--points"],
+    "verify": ["--t-list", "--n", "--half-width", "--coarse-dt"],
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP_FLAGS))
+def test_help_lists_each_declared_flag(run_cli, capsys, command):
+    assert run_cli([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", text, flags=re.M)
+    assert listed == ["--help", "--config", "--out"] + _HELP_FLAGS[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--t", "nan", "--points", "5"],
+    ["wigner", "--t", "nan", "--grid", "4x4"],
+    ["entropy", "--t1", "inf", "--points", "3"],
+    ["info", "--t1", "nan", "--points", "3"],
+    ["verify", "--half-width", "nan", "--t-list", "1e-08", "--n", "64"],
+    ["verify", "--t-list", ",", "--n", "2048"],
+], ids=["density-t", "wigner-t", "entropy-t1", "info-t1", "verify-half-width",
+        "verify-no-time"])
+def test_unusable_flag_values_exit_1(tmp_path, run_cli, argv):
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["entropy", "info"])
+def test_non_finite_spin_weight_exits_1(tmp_path, run_cli, capsys, command):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("mass_kg = 1.79e-25\nforce_N = 9.27e-22\nsigma_m = 1e-6\n"
+                   "c_plus_re = nan\n", encoding="utf-8")
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path),
+                    "--points", "3"]) == 1
+    assert "spin weights not normalized" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, check", [
+    ("l2_err_plus", "closed_form_l2"),
+    ("l2_err_minus", "closed_form_l2"),
+    ("overlap_dev", "overlap"),
+    ("norm_drift", "norm_drift"),
+])
+def test_verify_fails_on_a_nan_check_value(tmp_path, run_cli, capsys, monkeypatch, field, check):
+    real = cli.verify_closed_forms
+
+    def nan_in_last_row(params, times, **kwargs):
+        report = real(params, times, **kwargs)
+        if times[0] != 2e-08:
+            return report
+        return dataclasses.replace(report, rows=tuple(
+            dataclasses.replace(row, **{field: math.nan}) for row in report.rows))
+
+    monkeypatch.setattr(cli, "verify_closed_forms", nan_in_last_row)
+    # the NaN sits in the last row, where a plain max() would pass over it
+    assert run_cli(["verify", "--out", str(tmp_path), "--t-list", "1e-08,2e-08",
+                    "--n", "2048"]) == 3
+    assert f"verify: FAIL {check}:" in capsys.readouterr().err

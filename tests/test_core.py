@@ -58,6 +58,20 @@ def test_spin_weights_must_be_normalized():
         sg.PhysicalParams.silver(c_plus=1.0 + 0.0j, c_minus=1.0 + 0.0j)
 
 
+@pytest.mark.parametrize("override", [
+    {"mass": math.inf},
+    {"mass": math.nan},
+    {"sigma": math.inf},
+    {"sigma": math.nan},
+    {"c_plus": complex(math.nan, 0.0)},
+    {"c_minus": complex(0.0, math.inf)},
+], ids=["mass-inf", "mass-nan", "sigma-inf", "sigma-nan", "c_plus-nan", "c_minus-inf"])
+def test_non_finite_parameters_are_rejected(override):
+    # each check is a comparison that NaN fails, not one it passes
+    with pytest.raises(ValueError):
+        sg.PhysicalParams.silver(**override)
+
+
 def test_weight_lookup(silver):
     assert silver.weight("+") == silver.c_plus
     assert silver.weight("-") == silver.c_minus

@@ -131,3 +131,13 @@ def test_time_validation(silver):
         sg.free_kernel(0.0, 0.0, -1e-9, silver)
     with pytest.raises(ValueError):
         sg.kernel("xx", 0.0, 0.0, 1e-6, silver)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_times_are_rejected(silver, bad):
+    with pytest.raises(ValueError):
+        sg.evolve_in_field(silver, bad)
+    with pytest.raises(ValueError):
+        sg.evolve_free_after_field(silver, bad, 1e-5)
+    with pytest.raises(ValueError):
+        sg.evolve_free_after_field(silver, 1e-6, bad)

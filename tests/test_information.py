@@ -33,6 +33,15 @@ def test_overlap_decay_values(scales):
         sg.overlap_decay(-1e-9, scales)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, [0.0, np.nan], [0.0, np.inf]],
+                         ids=["nan", "inf", "array-nan", "array-inf"])
+def test_overlap_decay_needs_finite_times(scales, t):
+    with pytest.raises(ValueError):
+        sg.overlap_decay(t, scales)
+    with pytest.raises(ValueError):
+        sg.entanglement_entropy(t, scales)
+
+
 def test_entanglement_entropy_anchor(scales):
     overlap, entropy = sg.entanglement_entropy(scales.tau3, scales)
     assert overlap == pytest.approx(0.3678794345613942, rel=1e-12)

@@ -83,6 +83,18 @@ def test_grid_argument_validation(silver, scales):
         sg.make_grid_state(silver, n=8)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0], ids=["nan", "inf", "-inf", "zero"])
+def test_grid_needs_a_finite_positive_half_width(silver, bad):
+    with pytest.raises(ValueError):
+        sg.make_grid_state(silver, n=64, half_width=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_grid_evolution_needs_a_finite_time(silver, bad):
+    with pytest.raises(ValueError, match="finite"):
+        sg.evolve_grid(silver, bad, n=64)
+
+
 def _reference_step_split_operator(state, dt, params=None):
     """One Strang step per branch, every factor rebuilt: the plain form of
     the batched step."""
