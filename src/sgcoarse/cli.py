@@ -273,13 +273,21 @@ def _cmd_verify(out: str, params: PhysicalParams, s: dict) -> int:
     return 0
 
 
+def _count(minimum: int):
+    """A parser of whole counts no smaller than minimum."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise ValueError(f"count must be at least {minimum}, got {n}")
+        return n
+    return count
+
+
 def _grid(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise ValueError(f"grid must look like 512x512, got {text!r}")
-    n_q, n_p = int(parts[0]), int(parts[1])
-    if n_q < 2 or n_p < 2:
-        raise ValueError("grid sizes must be at least 2")
+    n_q, n_p = map(_count(2), parts)
     return n_q, n_p
 
 
@@ -304,11 +312,11 @@ _COMMANDS = {
     "entropy": (_cmd_entropy, "entanglement entropy sweep -> entropy.csv", (
         ("--t0", "t_start_s", float, 0.0),
         ("--t1", "t_stop_s", float, 2e-6),
-        ("--points", "points", int, 400),
+        ("--points", "points", _count(1), 400),
     )),
     "density": (_cmd_density, "position densities at one time -> density.csv", (
         ("--t", "t_s", float, 22.5e-6),
-        ("--points", "points", int, 2001),
+        ("--points", "points", _count(1), 2001),
     )),
     "wigner": (_cmd_wigner, "Wigner matrix grid(s) -> wigner_t*.csv", (
         ("--t", "t_s", float, None, "single time (default: 1e-6 and 30e-6 s)"),
@@ -324,11 +332,11 @@ _COMMANDS = {
     "info": (_cmd_info, "mean information per event sweep -> info.csv", (
         ("--t0", "t_start_s", float, 0.0),
         ("--t1", "t_stop_s", float, 5e-5),
-        ("--points", "points", int, 200),
+        ("--points", "points", _count(1), 200),
     )),
     "verify": (_cmd_verify, "grid integrator vs closed forms -> verify.csv", (
         ("--t-list", "t_list_s", str, None, "comma-separated times in s"),
-        ("--n", "n_grid", int, 4096, "grid points (default 4096)"),
+        ("--n", "n_grid", _count(2), 4096, "grid points (default 4096)"),
         ("--half-width", "half_width", float, 10.0),
         ("--coarse-dt", "coarse_dt", _bool, False,
          "deliberately coarsen dt to demonstrate the failure path"),

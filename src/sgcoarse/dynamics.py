@@ -220,7 +220,7 @@ def kernel(block: str, x, x_i, t: float, params: PhysicalParams):
     """
     if block not in SPIN_PAIRS:
         raise ValueError(f"block must be one of {SPIN_PAIRS}, got {block!r}")
-    if t <= 0.0:
+    if not (t > 0.0):
         raise ValueError(f"kernel requires t > 0, got {t}")
     x = np.asarray(x, dtype=float)
     x_i = np.asarray(x_i, dtype=float)
@@ -237,7 +237,7 @@ def kernel(block: str, x, x_i, t: float, params: PhysicalParams):
 
 def free_kernel(x, x_i, t: float, params: PhysicalParams):
     """Free-particle propagator sqrt(m/2πiħt)·exp[i m(x-xᵢ)²/2ħt]."""
-    if t <= 0.0:
+    if not (t > 0.0):
         raise ValueError(f"kernel requires t > 0, got {t}")
     units = UnitSystem.for_params(params)
     xs = units.scale_length(np.asarray(x, dtype=float))

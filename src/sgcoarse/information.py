@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .core import DerivedScales, PhysicalParams, derive_scales
 from .dynamics import SpinorWavepacket, evolve_in_field
@@ -55,6 +54,8 @@ def entropy_from_overlap(A):
     The reduced spin matrix has eigenvalues (1 pm A)/2, so
     S = ln2 - [(1+A)/2]ln(1+A) - [(1-A)/2]ln(1-A), with 0 ln 0 = 0.
     """
+    from scipy.special import xlogy
+
     A = np.asarray(A, dtype=float)
     if np.any(A < -1e-12) or np.any(A > 1.0 + 1e-12):
         raise ValueError("overlap magnitude must lie in [0, 1]")
@@ -127,6 +128,8 @@ def reduced_spin_density(state: SpinorWavepacket) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-Tr rho ln rho in nats for a Hermitian density matrix."""
+    from scipy.special import xlogy
+
     lam = np.linalg.eigvalsh(np.asarray(rho))
     if lam.min() < -1e-10 or abs(lam.sum() - 1.0) > 1e-8:
         raise ValueError(f"not a density spectrum: {lam}")
@@ -210,6 +213,8 @@ def screen_distribution(
     state gives I(0) = 0); alignment='edge' puts pixel boundaries on
     multiples of the width, so integer coarsenings nest.
     """
+    from scipy.special import xlogy
+
     Delta = float(Delta)
     if not Delta > 0.0:
         raise ValueError(f"pixel width must be positive, got {Delta}")
@@ -274,6 +279,8 @@ def mean_information(state: SpinorWavepacket) -> float:
     dimensionful logs cancel exactly), clipped to [0, H_prior].  For a
     screen of finite pixels use screen_distribution(...).mean_information().
     """
+    from scipy.special import xlogy
+
     prior = _prior_entropy(state.params)
     (Cp, mup, arp, lCp) = state.density_form("+")
     (Cm, mum, arm, lCm) = state.density_form("-")

@@ -13,12 +13,16 @@ stable on the upper half plane:
     e^(-κ²/4) erf(x - iκ/2) = e^(-κ²/4) - e^(-x² + iκx) w(κ/2 + ix),  x ≥ 0,
 
 with the x < 0 half recovered from erf's oddness.
+
+scipy is imported inside the functions that call it, on first use, here
+and in information.py: the package imports only numpy, so density, verify
+and the fine Wigner grid never load scipy.  The coarse Wigner grid, entropy
+and info load scipy.special, and info also scipy.integrate.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf, wofz
 
 # direct complex erf is safe while exp(kappa^2/4) fits comfortably in range
 _KAPPA_DIRECT = 30.0
@@ -26,6 +30,8 @@ _KAPPA_DIRECT = 30.0
 
 def _erf_damped(x: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     """exp(-kappa^2/4) * erf(x - i*kappa/2), elementwise, stable for any kappa."""
+    from scipy.special import erf, wofz
+
     x = np.asarray(x, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     x, kappa = np.broadcast_arrays(x, kappa)
@@ -60,6 +66,8 @@ def osc_gauss_window(a, b, alpha: float, k) -> np.ndarray:
 
 def gauss_window(a, b, mu, alpha: float) -> np.ndarray:
     """∫_a^b exp(-α (u-μ)²) du for real α > 0 and real μ."""
+    from scipy.special import erf
+
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     ra = np.sqrt(alpha)
@@ -70,8 +78,9 @@ def real_quad(f, a: float, b: float, *, epsabs: float = 1e-12, limit: int = 400,
               points=None) -> float:
     """Adaptive Gauss-Kronrod quadrature of a real integrand.
 
-    scipy.integrate is imported here, on first use: it pulls in a large
-    part of scipy, and most entry points never integrate.
+    scipy.integrate is imported here, on first use, as scipy.special is
+    in the other functions that call it: scipy takes longer to import than
+    the rest of the package, and most entry points never integrate.
     """
     from scipy import integrate
 

@@ -133,7 +133,7 @@ def make_grid_state(
 def step_split_operator(state: GridState, dt: float, params: PhysicalParams | None = None) -> GridState:
     """Advance both branches by one Strang step of SI duration dt."""
     params = state.params if params is None else params
-    if dt <= 0.0:
+    if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     dts = state.units.scale_time(dt)
     accel = state.units.scale_accel(params.accel)
@@ -208,7 +208,7 @@ def evolve_grid(
     """Integrate the canonical packet to SI time t on the grid."""
     if not (0.0 <= t < math.inf):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
-    if dt is not None and dt <= 0.0:
+    if dt is not None and not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     _check_resolution(params, t, n, half_width)
     state = make_grid_state(params, n=n, half_width=half_width)

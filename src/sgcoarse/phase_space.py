@@ -562,7 +562,7 @@ def project_spin_direction(w, n):
 
 def oscillation_scale(params: PhysicalParams, t: float) -> float:
     """Fringe spacing scale d = ħ/(2Ft) of the off-diagonal Wigner block (m)."""
-    if t <= 0.0:
+    if not (t > 0.0):
         raise ValueError(f"time must be positive, got {t}")
     f = abs(params.force)
     if f == 0.0:

@@ -353,11 +353,37 @@ def test_help_lists_each_declared_flag(run_cli, capsys, command):
     ["info", "--t1", "nan", "--points", "3"],
     ["verify", "--half-width", "nan", "--t-list", "1e-08", "--n", "64"],
     ["verify", "--t-list", ",", "--n", "2048"],
+    ["entropy", "--points", "0"],
+    ["density", "--points", "0"],
+    ["info", "--points", "0"],
+    ["entropy", "--points", "-3"],
+    ["verify", "--n", "0", "--t-list", "1e-08"],
+    ["verify", "--n", "1", "--t-list", "1e-08"],
 ], ids=["density-t", "wigner-t", "entropy-t1", "info-t1", "verify-half-width",
-        "verify-no-time"])
+        "verify-no-time", "entropy-points-0", "density-points-0", "info-points-0",
+        "entropy-points-negative", "verify-n-0", "verify-n-1"])
 def test_unusable_flag_values_exit_1(tmp_path, run_cli, argv):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 1
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["entropy", "--points", "3"], "points"),
+    (["density", "--points", "3"], "points"),
+    (["info", "--points", "3"], "points"),
+    (["verify", "--n", "512", "--t-list", "1e-08"], "n_grid"),
+], ids=["entropy", "density", "info", "verify"])
+def test_header_count_below_its_minimum_exits_1(tmp_path, run_cli, capsys, argv, key):
+    assert run_cli(argv + ["--out", str(tmp_path / "a")]) == 0
+    (out,) = (tmp_path / "a").glob("*.csv")
+    text = out.read_text(encoding="utf-8").replace(f"# {key} = {argv[2]}\n", f"# {key} = 0\n")
+    assert f"# {key} = 0\n" in text
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli([argv[0], "--config", str(bad), "--out", str(tmp_path / "b")]) == 1
+    assert "count must be at least" in capsys.readouterr().err
+    assert not list((tmp_path / "b").glob("*.csv"))
 
 
 @pytest.mark.parametrize("command", ["entropy", "info"])

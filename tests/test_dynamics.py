@@ -141,3 +141,11 @@ def test_non_finite_times_are_rejected(silver, bad):
         sg.evolve_free_after_field(silver, bad, 1e-5)
     with pytest.raises(ValueError):
         sg.evolve_free_after_field(silver, 1e-6, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-9], ids=["nan", "zero", "negative"])
+def test_kernels_need_a_positive_time(silver, bad):
+    with pytest.raises(ValueError, match="t > 0"):
+        sg.kernel("++", 0.0, 0.0, bad, silver)
+    with pytest.raises(ValueError, match="t > 0"):
+        sg.free_kernel(0.0, 0.0, bad, silver)

@@ -95,6 +95,14 @@ def test_grid_evolution_needs_a_finite_time(silver, bad):
         sg.evolve_grid(silver, bad, n=64)
 
 
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -1e-9], ids=["nan", "zero", "negative"])
+def test_grid_steps_need_a_positive_dt(silver, scales, bad):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        sg.step_split_operator(sg.make_grid_state(silver, n=64), bad)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        sg.evolve_grid(silver, scales.tau3, dt=bad, n=64)
+
+
 def _reference_step_split_operator(state, dt, params=None):
     """One Strang step per branch, every factor rebuilt: the plain form of
     the batched step."""

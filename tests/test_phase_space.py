@@ -298,13 +298,20 @@ def test_fields_without_a_source_refuse_closed_form_operations(state_early, kind
         field.total()
 
 
-def _loaded_after_fresh_import(module):
-    # a fresh interpreter importing the same package as this test run
+def _fresh_python(code):
+    """Last stdout line of code run by a fresh interpreter that imports the
+    same package as this test run."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)))
-    code = f"import sys, sgcoarse; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    return out.stdout.strip()
+    return out.stdout.splitlines()[-1]
+
+
+def _loaded_after_fresh_import(module):
+    return _fresh_python(f"import sys, sgcoarse; print({module!r} in sys.modules)")
+
+
+_SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
 
 
 def test_import_does_not_load_scipy_interpolate():
@@ -314,6 +321,26 @@ def test_import_does_not_load_scipy_interpolate():
 def test_import_does_not_load_scipy_integrate():
     # only real_quad integrates, and it imports scipy.integrate on first use
     assert _loaded_after_fresh_import("scipy.integrate") == "False"
+
+
+@pytest.mark.parametrize("module", ["sgcoarse", "sgcoarse.cli"])
+def test_import_does_not_load_scipy(module):
+    assert _fresh_python(f"import sys, {module}; print({_SCIPY_LOADED})") == "False"
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ("density --points 11", False),
+    ("verify --t-list 1e-08 --n 512", False),
+    ("info --points 3", True),
+    ("wigner --grid 8x8 --coarse --coarse-grid 4x4", True),
+], ids=["density", "verify", "info", "wigner-coarse"])
+def test_subcommands_load_scipy_only_where_they_call_it(tmp_path, argv, loads):
+    # scipy is absent after the import and present after main only if the
+    # subcommand evaluates an erf, an xlogy or a quadrature
+    code = (f"import sys; from sgcoarse import cli; before = {_SCIPY_LOADED}; "
+            f"status = cli.main({argv.split() + ['--out', str(tmp_path)]!r}); "
+            f"print(before, {_SCIPY_LOADED}, status)")
+    assert _fresh_python(code) == f"False {loads} 0"
 
 
 def test_fringe_scale_measurement(silver):
@@ -326,6 +353,12 @@ def test_fringe_scale_measurement(silver):
         sg.oscillation_scale(silver, 0.0)
     with pytest.raises(ValueError):
         sg.oscillation_scale(sg.PhysicalParams.silver(force=0.0), 1e-5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-9], ids=["nan", "zero", "negative"])
+def test_fringe_scale_needs_a_positive_time(silver, bad):
+    with pytest.raises(ValueError, match="time must be positive"):
+        sg.oscillation_scale(silver, bad)
 
 
 def test_spin_projection_identities(state_early, silver):
