@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 
@@ -221,7 +222,7 @@ def _cmd_verify(out: str, params: PhysicalParams, s: dict) -> int:
     if s["t_list_s"] is None:
         probes = (0.1 * scales.tau3, scales.tau3, 0.01 * scales.tau2)
         s["t_list_s"] = ",".join(_fmt(t) for t in probes)
-    t_list = [float(v) for v in s["t_list_s"].split(",") if v.strip()]
+    t_list = [_finite(v) for v in s["t_list_s"].split(",") if v.strip()]
     if not t_list:
         raise ValueError(f"t_list_s names no time: {s['t_list_s']!r}")
     n, half_width = s["n_grid"], s["half_width"]
@@ -283,6 +284,14 @@ def _count(minimum: int):
     return count
 
 
+def _finite(text: str) -> float:
+    """A float setting; inf and nan are refused before any sweep is built."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"value must be finite, got {text!r}")
+    return value
+
+
 def _grid(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
@@ -293,7 +302,7 @@ def _grid(text: str) -> tuple[int, int]:
 
 def _pixels(text: str) -> tuple[float, float]:
     delta_m, delta_p = text.split(",")
-    return float(delta_m), float(delta_p)
+    return _finite(delta_m), _finite(delta_p)
 
 
 def _bool(text: str) -> bool:
@@ -310,34 +319,34 @@ def _bool(text: str) -> bool:
 # the handler.
 _COMMANDS = {
     "entropy": (_cmd_entropy, "entanglement entropy sweep -> entropy.csv", (
-        ("--t0", "t_start_s", float, 0.0),
-        ("--t1", "t_stop_s", float, 2e-6),
+        ("--t0", "t_start_s", _finite, 0.0),
+        ("--t1", "t_stop_s", _finite, 2e-6),
         ("--points", "points", _count(1), 400),
     )),
     "density": (_cmd_density, "position densities at one time -> density.csv", (
-        ("--t", "t_s", float, 22.5e-6),
+        ("--t", "t_s", _finite, 22.5e-6),
         ("--points", "points", _count(1), 2001),
     )),
     "wigner": (_cmd_wigner, "Wigner matrix grid(s) -> wigner_t*.csv", (
-        ("--t", "t_s", float, None, "single time (default: 1e-6 and 30e-6 s)"),
+        ("--t", "t_s", _finite, None, "single time (default: 1e-6 and 30e-6 s)"),
         ("--grid", "grid", _grid, (512, 512), "fine grid, e.g. 512x512"),
         ("--pixels", "pixels", _pixels, None,
          "coarse pixel spec DELTA_m,delta_kgm_s (implies --coarse)"),
         ("--coarse", "coarse", _bool, False,
          "also write the pixel-averaged grid (default pixel spec)"),
-        (None, "Delta_m", float, CoarsePixelSpec.default().Delta),
-        (None, "delta_kgm_s", float, CoarsePixelSpec.default().delta),
+        (None, "Delta_m", _finite, CoarsePixelSpec.default().Delta),
+        (None, "delta_kgm_s", _finite, CoarsePixelSpec.default().delta),
         ("--coarse-grid", "coarse_grid", _grid, (128, 128), "coarse grid, e.g. 128x128"),
     )),
     "info": (_cmd_info, "mean information per event sweep -> info.csv", (
-        ("--t0", "t_start_s", float, 0.0),
-        ("--t1", "t_stop_s", float, 5e-5),
+        ("--t0", "t_start_s", _finite, 0.0),
+        ("--t1", "t_stop_s", _finite, 5e-5),
         ("--points", "points", _count(1), 200),
     )),
     "verify": (_cmd_verify, "grid integrator vs closed forms -> verify.csv", (
         ("--t-list", "t_list_s", str, None, "comma-separated times in s"),
         ("--n", "n_grid", _count(2), 4096, "grid points (default 4096)"),
-        ("--half-width", "half_width", float, 10.0),
+        ("--half-width", "half_width", _finite, 10.0),
         ("--coarse-dt", "coarse_dt", _bool, False,
          "deliberately coarsen dt to demonstrate the failure path"),
     )),

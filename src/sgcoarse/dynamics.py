@@ -215,13 +215,13 @@ def evolve_free_after_field(params: PhysicalParams, t1: float, t: float) -> Spin
 def kernel(block: str, x, x_i, t: float, params: PhysicalParams):
     """Propagator block ⟨x|U_s(t)|xᵢ⟩; spin-off-diagonal blocks vanish.
 
-    block is one of '++', '--', '+-', '-+'.  t must be positive: the kernel
-    is distributional at t = 0.
+    block is one of '++', '--', '+-', '-+'.  t must be positive and finite:
+    the kernel is distributional at t = 0.
     """
     if block not in SPIN_PAIRS:
         raise ValueError(f"block must be one of {SPIN_PAIRS}, got {block!r}")
-    if not (t > 0.0):
-        raise ValueError(f"kernel requires t > 0, got {t}")
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"kernel requires finite t > 0, got {t}")
     x = np.asarray(x, dtype=float)
     x_i = np.asarray(x_i, dtype=float)
     if block in ("+-", "-+"):
@@ -237,8 +237,8 @@ def kernel(block: str, x, x_i, t: float, params: PhysicalParams):
 
 def free_kernel(x, x_i, t: float, params: PhysicalParams):
     """Free-particle propagator sqrt(m/2πiħt)·exp[i m(x-xᵢ)²/2ħt]."""
-    if not (t > 0.0):
-        raise ValueError(f"kernel requires t > 0, got {t}")
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"kernel requires finite t > 0, got {t}")
     units = UnitSystem.for_params(params)
     xs = units.scale_length(np.asarray(x, dtype=float))
     xis = units.scale_length(np.asarray(x_i, dtype=float))

@@ -30,6 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import HBAR, PhysicalParams, ResolutionError, UnitSystem
 from .dynamics import SPIN_PAIRS, SpinorWavepacket
@@ -41,6 +42,7 @@ _SUPPORT_SIGMAS = 12.0  # Gaussian reach kept in window intersections
 _RHO_PAD_WIDTHS = 14.0  # packet widths the rho grid reaches past the q axis
 _FRINGE_PERIODS = 6.0  # fringe periods spanned by measure_oscillation_scale
 _FRINGE_SAMPLES = 8192
+_Y_CHUNK = 256  # lags per phase-table chunk of wigner_numeric
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +202,13 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     so that q ± y/2 stays on the grid; a q outside the grid or between two
     nodes raises ValueError.  The y-trapezoid is then spectrally accurate
     for the smooth decaying integrands produced by Gaussian packets.
-    The phase table cos/sin(p y/ħ) is built once per call for y ≥ 0, and
-    each row folds the integrand over ±y into its even and odd parts, so a
-    row costs two real matrix products shared by all four spin pairs.
+    The lags y = 2·dx·j, j ≥ 0, are streamed in chunks of _Y_CHUNK: both
+    amplitude rows are padded with zeros, so a lag past a row's window puts
+    a sample off the grid and adds 0, and each chunk adds one complex
+    product r(+j) · exp(-i p y/ħ) for every row and spin pair at once.  The
+    j < 0 half follows from r_αβ(-j) = conj(r_βα(+j)): it is the conjugate
+    of the sum with the +- and -+ rows swapped, so the field is Hermitian
+    by construction.  Memory is O(n_q·k + k·n_p + n_rho) for k = _Y_CHUNK.
     q, p are coordinate axes as in wigner_analytic.  The field records
     its Hermiticity and imaginary-diagonal residues (scaled units).
     """
@@ -236,35 +242,27 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
             f"density matrix node; wigner_numeric evaluates q only at nodes"
         )
 
-    # Half-lengths m of each row's symmetric y-window.  The phase table for
-    # -y is the conjugate of the one for +y, so only y = 2 dx j with j >= 0
-    # is tabulated, once per call, as real cos and sin tables.
-    half = np.minimum(idx, x.size - 1 - idx)
-    theta = np.outer(2.0 * dx * np.arange(int(half.max(initial=0)) + 1), pa) / hbar
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    del theta
-    amps = np.stack([rho.amp_plus, rho.amp_minus])
-    out = np.empty((4, qa.size, pa.size), dtype=complex)  # pairs ++, +-, -+, --
-    for row, (i, m) in enumerate(zip(idx, half)):
-        up = amps[:, i:i + m + 1]  # amplitudes at q + y/2, j = 0..m
-        down = amps[:, i - m:i + 1][:, ::-1]  # amplitudes at q - y/2
-        fwd = (up[:, None] * np.conj(down)[None]).reshape(4, -1)  # r(+j)
-        rev = (down[:, None] * np.conj(up)[None]).reshape(4, -1)  # r(-j)
-        # Σ_j r(j) e^{-iθ_j} = Σ_{j≥0} e_j cos θ_j - i o_j sin θ_j with the
-        # even part e = r(+j) + r(-j) (j = 0 counted once) and odd part
-        # o = r(+j) - r(-j); real and imaginary parts stacked as 8 rows.
-        even = np.empty((8, m + 1))
-        odd = np.empty((8, m + 1))
-        np.add(fwd.real, rev.real, out=even[:4])
-        np.add(fwd.imag, rev.imag, out=even[4:])
-        even[:, 0] *= 0.5
-        np.subtract(fwd.real, rev.real, out=odd[:4])
-        np.subtract(fwd.imag, rev.imag, out=odd[4:])
-        cos_part = even @ cos_t[:m + 1]
-        sin_part = odd @ sin_t[:m + 1]
-        out[:, row].real = cos_part[:4] + sin_part[4:]
-        out[:, row].imag = cos_part[4:] - sin_part[:4]
-    out *= 2.0 * dx / (2.0 * np.pi * hbar)
+    # Lags y = 2 dx j, j >= 0, are streamed in chunks of _Y_CHUNK.  Both
+    # amplitude rows carry m_max zeros on each side, so a lag past a row's
+    # window, j > min(i, n-1-i), puts one sample off the grid and adds 0.
+    m_max = int(np.minimum(idx, x.size - 1 - idx).max(initial=0))
+    amps = np.zeros((2, x.size + 2 * m_max), dtype=complex)
+    amps[0, m_max:m_max + x.size] = rho.amp_plus
+    amps[1, m_max:m_max + x.size] = rho.amp_minus
+    acc = np.zeros((4 * qa.size, pa.size), dtype=complex)  # ++, +-, -+, -- rows
+    for j0 in range(0, m_max + 1, _Y_CHUNK):
+        j = np.arange(j0, min(j0 + _Y_CHUNK, m_max + 1))
+        windows = sliding_window_view(amps, j.size, axis=1)
+        up = windows[:, m_max + idx + j0]  # amplitudes at q + y/2, (2, n_q, k)
+        down = windows[:, m_max + idx - j[-1], ::-1]  # amplitudes at q - y/2
+        r = (up[:, None] * np.conj(down)[None]).reshape(acc.shape[0], j.size)
+        if j0 == 0:
+            r[:, 0] *= 0.5  # y = 0 is counted once over both signs of j
+        acc += r @ np.exp(-1j * (np.outer(2.0 * dx * j, pa) / hbar))
+    # r_ab(-j) = conj(r_ba(+j)), so the sum over j < 0 is conj(acc) with the
+    # +- and -+ rows swapped.
+    acc = acc.reshape(4, qa.size, pa.size)
+    out = (acc + np.conj(acc[[0, 2, 1, 3]])) * (2.0 * dx / (2.0 * np.pi * hbar))
     w_pp, w_pm, w_mp, w_mm = out
     herm = float(np.max(np.abs(w_mp - np.conj(w_pm)))) if w_pm.size else 0.0
     diag_imag = float(max(np.max(np.abs(w_pp.imag)), np.max(np.abs(w_mm.imag))))
@@ -562,8 +560,8 @@ def project_spin_direction(w, n):
 
 def oscillation_scale(params: PhysicalParams, t: float) -> float:
     """Fringe spacing scale d = ħ/(2Ft) of the off-diagonal Wigner block (m)."""
-    if not (t > 0.0):
-        raise ValueError(f"time must be positive, got {t}")
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"time must be positive and finite, got {t}")
     f = abs(params.force)
     if f == 0.0:
         raise ValueError("no field, no interference fringes")

@@ -359,9 +359,15 @@ def test_help_lists_each_declared_flag(run_cli, capsys, command):
     ["entropy", "--points", "-3"],
     ["verify", "--n", "0", "--t-list", "1e-08"],
     ["verify", "--n", "1", "--t-list", "1e-08"],
+    ["entropy", "--t0", "-inf", "--points", "3"],
+    ["info", "--t1", "inf", "--points", "3"],
+    ["density", "--t", "inf", "--points", "5"],
+    ["wigner", "--t", "inf", "--grid", "4x4"],
+    ["verify", "--t-list", "1e-08,inf", "--n", "64"],
 ], ids=["density-t", "wigner-t", "entropy-t1", "info-t1", "verify-half-width",
         "verify-no-time", "entropy-points-0", "density-points-0", "info-points-0",
-        "entropy-points-negative", "verify-n-0", "verify-n-1"])
+        "entropy-points-negative", "verify-n-0", "verify-n-1", "entropy-t0-inf",
+        "info-t1-inf", "density-t-inf", "wigner-t-inf", "verify-t-list-inf"])
 def test_unusable_flag_values_exit_1(tmp_path, run_cli, argv):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 1
     assert not list(tmp_path.glob("*.csv"))
@@ -383,6 +389,26 @@ def test_header_count_below_its_minimum_exits_1(tmp_path, run_cli, capsys, argv,
     capsys.readouterr()
     assert run_cli([argv[0], "--config", str(bad), "--out", str(tmp_path / "b")]) == 1
     assert "count must be at least" in capsys.readouterr().err
+    assert not list((tmp_path / "b").glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["entropy", "--points", "3"], "t_stop_s"),
+    (["info", "--points", "3"], "t_start_s"),
+    (["density", "--points", "5"], "t_s"),
+], ids=["entropy", "info", "density"])
+def test_non_finite_header_time_exits_1(tmp_path, run_cli, capsys, argv, key):
+    # the time is refused where the header is parsed, before a sweep is built
+    assert run_cli(argv + ["--out", str(tmp_path / "a")]) == 0
+    (out,) = (tmp_path / "a").glob("*.csv")
+    text, n = re.subn(rf"^# {key} = .*$", f"# {key} = inf", out.read_text(encoding="utf-8"),
+                      flags=re.M)
+    assert n == 1
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli([argv[0], "--config", str(bad), "--out", str(tmp_path / "b")]) == 1
+    assert "must be finite" in capsys.readouterr().err
     assert not list((tmp_path / "b").glob("*.csv"))
 
 

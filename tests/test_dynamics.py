@@ -143,7 +143,8 @@ def test_non_finite_times_are_rejected(silver, bad):
         sg.evolve_free_after_field(silver, 1e-6, bad)
 
 
-@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-9], ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-9, math.inf],
+                         ids=["nan", "zero", "negative", "inf"])
 def test_kernels_need_a_positive_time(silver, bad):
     with pytest.raises(ValueError, match="t > 0"):
         sg.kernel("++", 0.0, 0.0, bad, silver)

@@ -95,7 +95,8 @@ def test_grid_evolution_needs_a_finite_time(silver, bad):
         sg.evolve_grid(silver, bad, n=64)
 
 
-@pytest.mark.parametrize("bad", [np.nan, 0.0, -1e-9], ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -1e-9, np.inf],
+                         ids=["nan", "zero", "negative", "inf"])
 def test_grid_steps_need_a_positive_dt(silver, scales, bad):
     with pytest.raises(ValueError, match="dt must be positive"):
         sg.step_split_operator(sg.make_grid_state(silver, n=64), bad)

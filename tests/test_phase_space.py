@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sgcoarse import cli
 from sgcoarse.numerics import gauss_legendre_nodes, osc_gauss_window
 from sgcoarse.phase_space import (
     _SUPPORT_SIGMAS,
+    _Y_CHUNK,
     SPIN_PAIRS,
     _box_average_form,
     _pair_form,
@@ -163,23 +165,44 @@ def test_folded_numeric_transform_matches_the_per_row_loop(silver, weights):
         params = dataclasses.replace(silver, c_plus=weights[0], c_minus=weights[1])
     state = sg.evolve_in_field(params, 1.0e-5)
     dx = 3.5e-9  # resolves |p| <= 3 momentum widths at this time
-    x = dx * (np.arange(401) - 200.0)
-    rho = sg.density_matrix(state, x)
-    q = np.array([
-        x[0], x[3], x[150],                            # low end
-        x[200], x[261], x[-1],                         # centre, high end
-    ])
     width_p = params.hbar / (np.sqrt(2.0) * params.sigma)
     p = np.concatenate([np.linspace(-3.0 * width_p, 3.0 * width_p, 7), [1e-30]])
-    field = sg.wigner_numeric(rho, q, p)
-    want, herm, diag_imag = _reference_wigner_numeric(rho, q, p)
-    peak = max(float(np.max(np.abs(block))) for block in want.values())
-    assert peak * params.hbar > 1e-3
-    for pair in SPIN_PAIRS:
-        dev = float(np.max(np.abs(field.block(pair) - want[pair])))
-        assert dev <= 1e-12 * peak, pair
-    assert abs(field.hermiticity_residue - herm) <= 1e-12 * peak * params.hbar
-    assert abs(field.diag_imag_residue - diag_imag) <= 1e-12 * peak * params.hbar
+    # Rows by node index on a short grid, then on one whose longest window,
+    # m = 4k lags for k = _Y_CHUNK, spans five lag chunks; a row's window
+    # ends at m = min(i, n-1-i): 0 at the edges, 3 inside the first chunk,
+    # k-1 and k on either side of the first boundary, 2k on a later one,
+    # 3k+5, 4k-37 and 4k past several.
+    k = _Y_CHUNK
+    for n, rows in [
+        (401, [0, 3, 150, 200, 261, 400]),
+        (8 * k + 1, [0, 3, k - 1, 7 * k, 2 * k, 3 * k + 5, 4 * k, 4 * k + 37, 8 * k]),
+    ]:
+        x = dx * (np.arange(n) - 0.5 * (n - 1))
+        rho = sg.density_matrix(state, x)
+        q = x[rows]
+        field = sg.wigner_numeric(rho, q, p)
+        want, herm, diag_imag = _reference_wigner_numeric(rho, q, p)
+        peak = max(float(np.max(np.abs(block))) for block in want.values())
+        assert peak * params.hbar > 1e-3
+        for pair in SPIN_PAIRS:
+            dev = float(np.max(np.abs(field.block(pair) - want[pair])))
+            assert dev <= 1e-12 * peak, (n, pair)
+        assert abs(field.hermiticity_residue - herm) <= 1e-12 * peak * params.hbar
+        assert abs(field.diag_imag_residue - diag_imag) <= 1e-12 * peak * params.hbar
+
+
+def test_numeric_transform_streams_its_phase_table(state_early, silver):
+    # acceptance test 4's grid: a 115 549-point rho and 64 momenta.  A full
+    # phase table for every lag up to the longest window (57 320 x 64 as
+    # angle, cos and sin, 88 MB) puts the call's peak at 93 MB.
+    q, p = sg.default_phase_space_grid(silver, state_early.t, n_q=64, n_p=64)
+    tracemalloc.start()
+    try:
+        sg.wigner_field(state_early, q, p, method="numeric")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("offset", [-7.0, -0.2, 3.0], ids=["low", "just-low", "high"])
@@ -355,7 +378,8 @@ def test_fringe_scale_measurement(silver):
         sg.oscillation_scale(sg.PhysicalParams.silver(force=0.0), 1e-5)
 
 
-@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-9], ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-9, math.inf],
+                         ids=["nan", "zero", "negative", "inf"])
 def test_fringe_scale_needs_a_positive_time(silver, bad):
     with pytest.raises(ValueError, match="time must be positive"):
         sg.oscillation_scale(silver, bad)
