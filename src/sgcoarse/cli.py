@@ -53,6 +53,7 @@ _TOL_OVERLAP = 1e-9
 _TOL_NORM_DRIFT = 1e-12
 _TOL_ORDER = 0.5
 _COARSE_DT_FACTOR = 64.0
+_Q_BLOCK = 32  # q rows of the fine Wigner grid evaluated and written at a time
 
 
 def _fmt(v) -> str:
@@ -127,16 +128,21 @@ def _header(command: str, params: PhysicalParams, settings: dict, columns: str) 
     return lines
 
 
-def _write_csv(path: str, header: list[str], column_row: str, rows) -> None:
-    """Write the header, the column row, then one line per row tuple, each
-    value at 17 significant digits as _fmt writes it; rows are streamed."""
-    row_fmt = ",".join(["%.17g"] * len(column_row.split(","))) + "\n"
+def _write_lines(path: str, header: list[str], column_row: str, lines) -> None:
+    """Write the header, the column row, then the body lines, streamed."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in header:
             fh.write(line + "\n")
         fh.write(column_row + "\n")
-        fh.writelines(row_fmt % row for row in rows)
+        fh.writelines(lines)
     print(f"wrote {path}")
+
+
+def _write_csv(path: str, header: list[str], column_row: str, rows) -> None:
+    """Write the header, the column row, then one line per row tuple, each
+    value at 17 significant digits as _fmt writes it; rows are streamed."""
+    row_fmt = ",".join(["%.17g"] * len(column_row.split(","))) + "\n"
+    _write_lines(path, header, column_row, map(row_fmt.__mod__, rows))
 
 
 def _cmd_entropy(out: str, params: PhysicalParams, s: dict) -> int:
@@ -163,18 +169,31 @@ def _cmd_density(out: str, params: PhysicalParams, s: dict) -> int:
     return 0
 
 
-def _wigner_rows(field, proj):
-    """q-major (q, p, W_pp, W_mm, Re W_pm, Im W_pm, proj) rows of Python
-    floats, converted one q row at a time."""
-    p = field.p.tolist()
-    for i, q in enumerate(field.q.tolist()):
-        w_pm = field.w_pm[i]
-        yield from zip(
-            itertools.repeat(q), p,
-            field.w_pp[i].tolist(), field.w_mm[i].tolist(),
-            w_pm.real.tolist(), w_pm.imag.tolist(),
-            proj[i].tolist(),
-        )
+def _wigner_lines(p, blocks):
+    """q-major CSV lines (q, p, W_pp, W_mm, Re W_pm, Im W_pm, W_proj_x) of
+    (field, proj) blocks of q rows on the momentum axis p.  Every value
+    reads as _fmt writes it; each p is formatted once per grid and each q
+    once per row, so only the five W columns are formatted per cell."""
+    cell_fmt = "%s%s" + ",".join(["%.17g"] * 5) + "\n"
+    p_text = [_fmt(v) + "," for v in p.tolist()]
+    for field, proj in blocks:
+        for i, q in enumerate(field.q.tolist()):
+            w_pm = field.w_pm[i]
+            yield from map(cell_fmt.__mod__, zip(
+                itertools.repeat(_fmt(q) + ","), p_text,
+                field.w_pp[i].tolist(), field.w_mm[i].tolist(),
+                w_pm.real.tolist(), w_pm.imag.tolist(), proj[i].tolist(),
+            ))
+
+
+def _projected(field):
+    return field, project_spin_direction(field, (1.0, 0.0, 0.0))
+
+
+def _fine_blocks(state, q, p):
+    """The analytic field and its x projection, _Q_BLOCK q rows at a time."""
+    for start in range(0, q.size, _Q_BLOCK):
+        yield _projected(wigner_field(state, q[start:start + _Q_BLOCK], p, method="analytic"))
 
 
 def _cmd_wigner(out: str, params: PhysicalParams, s: dict) -> int:
@@ -199,12 +218,13 @@ def _cmd_wigner(out: str, params: PhysicalParams, s: dict) -> int:
         state = evolve_in_field(params, t)
         for name, (n_q, n_p), spec in grids:
             q, p = default_phase_space_grid(params, t, n_q, n_p)
-            field = wigner_field(state, q, p, method="analytic")
-            if spec is not None:
-                field = coarse_grain(field, spec)
-            proj = project_spin_direction(field, (1.0, 0.0, 0.0))
-            _write_csv(os.path.join(out, f"{name}_t{t:g}.csv"), header,
-                       WIGNER_CSV_HEADER + ",W_proj_x", _wigner_rows(field, proj))
+            if spec is None:
+                blocks = _fine_blocks(state, q, p)
+            else:
+                field = wigner_field(state, q, p, method="analytic")
+                blocks = [_projected(coarse_grain(field, spec))]
+            _write_lines(os.path.join(out, f"{name}_t{t:g}.csv"), header,
+                         WIGNER_CSV_HEADER + ",W_proj_x", _wigner_lines(p, blocks))
     return 0
 
 

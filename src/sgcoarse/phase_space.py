@@ -208,9 +208,9 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     product r(+j) · exp(-i p y/ħ) for every row and spin pair at once.  The
     j < 0 half follows from r_αβ(-j) = conj(r_βα(+j)): it is the conjugate
     of the sum with the +- and -+ rows swapped, so the field is Hermitian
-    by construction.  Memory is O(n_q·k + k·n_p + n_rho) for k = _Y_CHUNK.
-    q, p are coordinate axes as in wigner_analytic.  The field records
-    its Hermiticity and imaginary-diagonal residues (scaled units).
+    and its diagonal real by construction, and it records no residue.
+    Memory is O(n_q·k + k·n_p + n_rho) for k = _Y_CHUNK.  q, p are
+    coordinate axes as in wigner_analytic.
     """
     x = rho.x
     if x.size < 3:
@@ -263,13 +263,10 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     # +- and -+ rows swapped.
     acc = acc.reshape(4, qa.size, pa.size)
     out = (acc + np.conj(acc[[0, 2, 1, 3]])) * (2.0 * dx / (2.0 * np.pi * hbar))
-    w_pp, w_pm, w_mp, w_mm = out
-    herm = float(np.max(np.abs(w_mp - np.conj(w_pm)))) if w_pm.size else 0.0
-    diag_imag = float(max(np.max(np.abs(w_pp.imag)), np.max(np.abs(w_mm.imag))))
+    w_pp, w_pm, _, w_mm = out
     return WignerMatrixField(
         params=rho.params, t=rho.t, q=qa, p=pa,
         w_pp=w_pp.real, w_mm=w_mm.real, w_pm=w_pm,
-        diag_imag_residue=diag_imag * hbar, hermiticity_residue=herm * hbar,
     )
 
 
@@ -337,8 +334,9 @@ class WignerMatrixField:
     generating state when the field came from the closed form; marginals,
     totals and coarse graining need it and raise ValueError without it, so
     numeric and coarse fields can only be compared block by block.
-    `pixels` is set on coarse-grained fields.  The residues are recorded by
-    the numeric transform and by analytic coarse graining.
+    `pixels` and `diag_imag_residue` are set on coarse-grained fields: the
+    residue is the largest imaginary part, a roundoff, of a diagonal block
+    average, which the stored real block drops.
     """
 
     params: PhysicalParams
@@ -351,7 +349,6 @@ class WignerMatrixField:
     source: SpinorWavepacket | None = None
     pixels: CoarsePixelSpec | None = None
     diag_imag_residue: float = 0.0
-    hermiticity_residue: float = 0.0
 
     @property
     def w_mp(self) -> np.ndarray:

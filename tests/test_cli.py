@@ -209,27 +209,63 @@ def _old_row(row):
     return ",".join(format(float(v), ".17g") for v in row)
 
 
+def _wigner_rows(field, proj):
+    """The seven CSV columns of every cell, q-major, straight from the field."""
+    return [(field.q[i], field.p[j], field.w_pp[i, j], field.w_mm[i, j],
+             field.w_pm[i, j].real, field.w_pm[i, j].imag, proj[i, j])
+            for i in range(field.q.size) for j in range(field.p.size)]
+
+
 def test_row_writer_matches_per_value_format(tmp_path, state_early):
     edge = [(-0.0, 5e-324, 1e308, -1e-300, 0.1)]
     field = sg.wigner_field(state_early, np.linspace(-1e-7, 1e-7, 4),
                             np.linspace(-2e-28, 2e-28, 3))
     assert np.any(field.w_pm.imag != 0.0)
     proj = sg.project_spin_direction(field, (1.0, 0.0, 0.0))
-    wigner = [
-        (field.q[i], field.p[j], field.w_pp[i, j], field.w_mm[i, j],
-         field.w_pm[i, j].real, field.w_pm[i, j].imag, proj[i, j])
-        for i in range(4) for j in range(3)
-    ]
+    # the same edge values on the axes and in every W column of the Wigner writer
+    edge_field = dataclasses.replace(
+        field, q=np.array([-0.0, 1e308]), p=np.array([5e-324, -1e-300, 0.1]),
+        w_pp=np.array([[-0.0, 5e-324, 1e308], [-1e-300, 0.1, 0.0]]),
+        w_mm=np.array([[1e308, -0.0, 0.1], [5e-324, -1e-300, 1.0]]),
+        w_pm=np.array([[complex(0.1, -0.0), complex(5e-324, 1e308), -1e-300j],
+                       [complex(-0.0, 0.1), complex(1e308, 5e-324), -1e-300]]))
+    edge_proj = np.array([[0.1, -1e-300, -0.0], [1e308, 5e-324, 0.0]])
     x = np.linspace(-1e-5, 1e-5, 9)
     scalars = list(zip(x, np.exp(-x * x / 1e-11), np.float64(1) / 3 - x))
-    cases = [(edge, "a,b,c,d,e", edge),
-             (cli._wigner_rows(field, proj), sg.WIGNER_CSV_HEADER + ",W_proj_x", wigner),
-             (scalars, "x,y,z", scalars)]
-    for k, (rows, columns, want) in enumerate(cases):
+    wigner_columns = sg.WIGNER_CSV_HEADER + ",W_proj_x"
+    cases = [
+        (cli._write_csv, edge, "a,b,c,d,e", edge),
+        (cli._write_lines, cli._wigner_lines(field.p, [(field, proj)]), wigner_columns,
+         _wigner_rows(field, proj)),
+        (cli._write_lines, cli._wigner_lines(edge_field.p, [(edge_field, edge_proj)]),
+         wigner_columns, _wigner_rows(edge_field, edge_proj)),
+        (cli._write_csv, scalars, "x,y,z", scalars),
+    ]
+    for k, (write, body, columns, want) in enumerate(cases):
         path = tmp_path / f"rows{k}.csv"
-        cli._write_csv(str(path), [], columns, rows)
-        body = path.read_text(encoding="utf-8").splitlines()[1:]
-        assert body == [_old_row(row) for row in want]
+        write(str(path), [], columns, body)
+        got = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert got == [_old_row(row) for row in want]
+
+
+@pytest.mark.parametrize("t", ["1e-06", "3e-05"])
+def test_streamed_wigner_grid_matches_the_whole_grid_field(tmp_path, silver, run_cli, t):
+    # 37 q rows span two q-row blocks, the second one short; the coarse grid
+    # is one coarse_grain call on the whole grid
+    assert cli._Q_BLOCK < 37 and 37 % cli._Q_BLOCK
+    assert run_cli(["wigner", "--t", t, "--grid", "37x5", "--coarse",
+                    "--coarse-grid", "9x7", "--out", str(tmp_path)]) == 0
+    state = sg.evolve_in_field(silver, float(t))
+    for name, (n_q, n_p), coarse in (("wigner", (37, 5), False),
+                                     ("wigner_coarse", (9, 7), True)):
+        q, p = sg.default_phase_space_grid(silver, float(t), n_q, n_p)
+        field = sg.wigner_field(state, q, p)
+        if coarse:
+            field = sg.coarse_grain(field, sg.CoarsePixelSpec.default())
+        proj = sg.project_spin_direction(field, (1.0, 0.0, 0.0))
+        text = (tmp_path / f"{name}_t{float(t):g}.csv").read_text(encoding="utf-8")
+        body = [line for line in text.splitlines() if not line.startswith("#")][1:]
+        assert body == [_old_row(row) for row in _wigner_rows(field, proj)]
 
 
 def test_load_config_reads_only_the_header(tmp_path, silver_config, run_cli):

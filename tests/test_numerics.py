@@ -1,12 +1,16 @@
 """Window integrals against high-precision quadrature."""
 
+import concurrent.futures
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 
-from sgcoarse.numerics import _KAPPA_DIRECT, gauss_window, osc_gauss_window
+from sgcoarse import numerics
+from sgcoarse.numerics import _KAPPA_DIRECT, _erf_damped, gauss_window, osc_gauss_window
 
 DIGITS = 20  # working precision of the references
 N_CASES = 60  # per branch of osc_gauss_window, and for gauss_window
@@ -53,3 +57,79 @@ def test_gauss_window_matches_mpmath():
             want = float(mpmath.quad(lambda u: mpmath.exp(-alpha * (u - mu) ** 2), [a, b]))
         worst = max(worst, abs(got - want) / (b - a))
     assert worst < 1e-12
+
+
+_KAPPAS = [0.0, 1e-3, 17.58, _KAPPA_DIRECT, float(np.nextafter(_KAPPA_DIRECT, np.inf)), 527.0]
+_KAPPAS += [-k for k in _KAPPAS]
+
+
+def _bits(z):
+    """The bit patterns of a complex array: equal bits, signed zeros included."""
+    return np.ascontiguousarray(z, dtype=complex).view(np.uint64)
+
+
+def _window_points():
+    x = np.linspace(-40.0, 40.0, 4001)
+    return np.concatenate([x, [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]])
+
+
+@pytest.mark.parametrize("kappa", _KAPPAS)
+def test_scalar_kappa_erf_matches_the_array_path(kappa):
+    # a 0-d kappa on the direct path skips the broadcast and the mask;
+    # past _KAPPA_DIRECT it takes the array path as before
+    x = _window_points()
+    got = _erf_damped(x, np.float64(kappa))
+    want = _erf_damped(x, np.full(x.shape, kappa))
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("kappa", _KAPPAS)
+def test_threaded_window_matches_the_serial_formula(kappa):
+    # the upper erf window runs on the worker thread, the lower on the caller's
+    u = _window_points() / 4.0
+    for alpha, a, b in [(1.0, u - 0.5, u + 0.5), (0.37, u, 2.0 * u), (4.0, -0.3, u)]:
+        ra = np.sqrt(alpha)
+        k = kappa * ra
+        kap = np.asarray(k, dtype=float) / ra
+        want = (np.sqrt(np.pi) / (2.0 * ra)) * (
+            _erf_damped(np.asarray(b, dtype=float) * ra, kap)
+            - _erf_damped(np.asarray(a, dtype=float) * ra, kap))
+        assert np.array_equal(_bits(osc_gauss_window(a, b, alpha, k)), _bits(want))
+
+
+def test_concurrent_first_calls_share_one_worker(monkeypatch):
+    # more caller threads than cores, a short switch interval, and no pool
+    # yet: the callers must make exactly one executor between them, and
+    # each gets the serial values
+    made = []
+
+    class Counting(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
+    monkeypatch.setattr(numerics, "_pool", None)
+    u = np.linspace(-3.0, 3.0, 257)
+    want = _bits(np.sqrt(np.pi) / 2.0 * (_erf_damped(u + 0.5, 17.58) - _erf_damped(u - 0.5, 17.58)))
+    results = []
+
+    def call():
+        for _ in range(20):
+            results.append(np.array_equal(_bits(osc_gauss_window(u - 0.5, u + 0.5, 1.0, 17.58)), want))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown()
+    assert not any(t.is_alive() for t in threads)
+    assert len(made) == 1
+    assert results == [True] * 160
