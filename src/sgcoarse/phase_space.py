@@ -195,29 +195,47 @@ def _uniform_spacing(a: np.ndarray, what: str) -> float:
     return d
 
 
+def _finite_axis(a, name: str) -> np.ndarray:
+    """`a` as a 1-D float axis; a NaN or infinite entry raises ValueError."""
+    axis = np.atleast_1d(np.asarray(a, dtype=float))
+    bad = ~np.isfinite(axis)
+    if bad.any():
+        raise ValueError(f"the {name} axis must be finite, got {name} = {axis[bad][0]}")
+    return axis
+
+
 def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     """Wigner matrix by direct Fourier transform of a sampled density matrix.
 
     Each q must be a node of rho's own grid, to within 1e-6 of its spacing,
     so that q ± y/2 stays on the grid; a q outside the grid or between two
-    nodes raises ValueError.  The y-trapezoid is then spectrally accurate
-    for the smooth decaying integrands produced by Gaussian packets.
-    The lags y = 2·dx·j, j ≥ 0, are streamed in chunks of _Y_CHUNK: both
+    nodes, or a q or p that is not finite, raises ValueError.  The
+    y-trapezoid is then spectrally accurate for the smooth decaying
+    integrands produced by Gaussian packets.
+    The lags y = 2·dx·j, j ≥ 0, are streamed in chunks of k = _Y_CHUNK: both
     amplitude rows are padded with zeros, so a lag past a row's window puts
     a sample off the grid and adds 0, and each chunk adds one complex
-    product r(+j) · exp(-i p y/ħ) for every row and spin pair at once.  The
+    product r(+j) · exp(-i p y/ħ) for every live row and spin pair at once.
+    By the shift theorem, exp(-i p 2dx(j₀+j')/ħ) = exp(-i p 2dx j₀/ħ) ·
+    exp(-i p 2dx j'/ħ), so one k×n_p table for j' = 0…k-1 serves every
+    chunk, and the chunk at j₀ scales its product by one n_p-vector of
+    phases.  The rows are taken longest window first, m = min(i, n-1-i) for
+    node i, so the chunk at j₀ works only on the prefix of rows with
+    m ≥ j₀; the caller's row order is restored at the end.  The cost is
+    Σᵢ(mᵢ+1) row-lags, each row's rounded up to whole chunks, times 4·n_p
+    complex multiply-adds, plus (k + n_chunks)·n_p complex exps.  The
     j < 0 half follows from r_αβ(-j) = conj(r_βα(+j)): it is the conjugate
     of the sum with the +- and -+ rows swapped, so the field is Hermitian
     and its diagonal real by construction, and it records no residue.
-    Memory is O(n_q·k + k·n_p + n_rho) for k = _Y_CHUNK.  q, p are
-    coordinate axes as in wigner_analytic.
+    Memory is O(n_q·k + k·n_p + n_rho).  q, p are coordinate axes as in
+    wigner_analytic.
     """
     x = rho.x
     if x.size < 3:
         raise ValueError("density matrix grid too small for a transform")
     dx = _uniform_spacing(x, "the density matrix grid of wigner_numeric")
-    qa = np.atleast_1d(np.asarray(q, dtype=float))
-    pa = np.atleast_1d(np.asarray(p, dtype=float))
+    qa = _finite_axis(q, "q")
+    pa = _finite_axis(p, "p")
     hbar = rho.params.hbar
     p_max = float(np.max(np.abs(pa))) if pa.size else 0.0
     need = _numeric_spacing_bound(rho.params, rho.t, p_max)
@@ -244,24 +262,35 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
 
     # Lags y = 2 dx j, j >= 0, are streamed in chunks of _Y_CHUNK.  Both
     # amplitude rows carry m_max zeros on each side, so a lag past a row's
-    # window, j > min(i, n-1-i), puts one sample off the grid and adds 0.
-    m_max = int(np.minimum(idx, x.size - 1 - idx).max(initial=0))
+    # window, j > m = min(i, n-1-i), puts one sample off the grid and adds 0.
+    # Rows run longest window first; the chunk at j0 takes the rows with
+    # m >= j0, a prefix of that order.
+    m = np.minimum(idx, x.size - 1 - idx)
+    order = np.argsort(-m, kind="stable")
+    m = m[order]
+    m_max = int(m.max(initial=0))
+    rows = m_max + idx[order]  # row nodes in the padded amplitude rows
     amps = np.zeros((2, x.size + 2 * m_max), dtype=complex)
     amps[0, m_max:m_max + x.size] = rho.amp_plus
     amps[1, m_max:m_max + x.size] = rho.amp_minus
-    acc = np.zeros((4 * qa.size, pa.size), dtype=complex)  # ++, +-, -+, -- rows
-    for j0 in range(0, m_max + 1, _Y_CHUNK):
-        j = np.arange(j0, min(j0 + _Y_CHUNK, m_max + 1))
-        windows = sliding_window_view(amps, j.size, axis=1)
-        up = windows[:, m_max + idx + j0]  # amplitudes at q + y/2, (2, n_q, k)
-        down = windows[:, m_max + idx - j[-1], ::-1]  # amplitudes at q - y/2
-        r = (up[:, None] * np.conj(down)[None]).reshape(acc.shape[0], j.size)
+    y_step = 2.0 * dx / hbar  # phase per lag per unit p
+    k = min(_Y_CHUNK, m_max + 1)
+    phase = np.exp(-1j * np.outer(y_step * np.arange(k), pa))  # lags j0 + 0..k-1
+    acc = np.zeros((4, qa.size, pa.size), dtype=complex)  # ++, +-, -+, -- rows
+    for j0 in range(0, m_max + 1, k):
+        live = int(np.count_nonzero(m >= j0))
+        n_j = min(k, m_max + 1 - j0)
+        windows = sliding_window_view(amps, n_j, axis=1)
+        up = windows[:, rows[:live] + j0]  # amplitudes at q + y/2, (2, live, n_j)
+        down = windows[:, rows[:live] - (j0 + n_j - 1), ::-1]  # at q - y/2
+        r = (up[:, None] * np.conj(down)[None]).reshape(4 * live, n_j)
         if j0 == 0:
             r[:, 0] *= 0.5  # y = 0 is counted once over both signs of j
-        acc += r @ np.exp(-1j * (np.outer(2.0 * dx * j, pa) / hbar))
-    # r_ab(-j) = conj(r_ba(+j)), so the sum over j < 0 is conj(acc) with the
-    # +- and -+ rows swapped.
-    acc = acc.reshape(4, qa.size, pa.size)
+        prod = (r @ phase[:n_j]).reshape(4, live, pa.size)
+        acc[:, :live] += prod * np.exp(-1j * (y_step * j0) * pa)
+    # Back to the caller's row order.  r_ab(-j) = conj(r_ba(+j)), so the sum
+    # over j < 0 is conj(acc) with the +- and -+ rows swapped.
+    acc = acc[:, np.argsort(order)]
     out = (acc + np.conj(acc[[0, 2, 1, 3]])) * (2.0 * dx / (2.0 * np.pi * hbar))
     w_pp, w_pm, _, w_mm = out
     return WignerMatrixField(
@@ -277,8 +306,11 @@ def density_grid_for_wigner(
 ) -> DensityMatrixField:
     """Sample a density matrix on a uniform grid aligned with the q nodes and
     fine enough for wigner_numeric at momenta up to |p_max|.  The q nodes
-    must be uniformly spaced, since wigner_numeric takes each q at a node."""
-    qa = np.asarray(q, dtype=float)
+    must be uniformly spaced, since wigner_numeric takes each q at a node;
+    a q or p_max that is not finite raises ValueError."""
+    qa = _finite_axis(q, "q")
+    if not math.isfinite(p_max):
+        raise ValueError(f"the p axis must be finite, got |p| max = {p_max}")
     dq = state.params.sigma
     if qa.size > 1:
         dq = _uniform_spacing(qa, "the q axis of a numeric Wigner field")

@@ -23,6 +23,7 @@ from sgcoarse.phase_space import (
     _Y_CHUNK,
     SPIN_PAIRS,
     _box_average_form,
+    _numeric_spacing_bound,
     _pair_form,
 )
 
@@ -167,26 +168,86 @@ def test_folded_numeric_transform_matches_the_per_row_loop(silver, weights):
     dx = 3.5e-9  # resolves |p| <= 3 momentum widths at this time
     width_p = params.hbar / (np.sqrt(2.0) * params.sigma)
     p = np.concatenate([np.linspace(-3.0 * width_p, 3.0 * width_p, 7), [1e-30]])
+    # p_fast: the momentum at which dx is 0.9 of the spacing bound, the
+    # margin density_grid_for_wigner keeps, so 2 dx p_fast / hbar is the
+    # largest phase per lag such a grid is used at
+    k_state = np.pi / (8.0 * _numeric_spacing_bound(params, state.t, 0.0))
+    p_fast = params.hbar * (0.9 * np.pi / (8.0 * dx) - k_state)
+    assert _numeric_spacing_bound(params, state.t, p_fast) == pytest.approx(dx / 0.9)
     # Rows by node index on a short grid, then on one whose longest window,
     # m = 4k lags for k = _Y_CHUNK, spans five lag chunks; a row's window
     # ends at m = min(i, n-1-i): 0 at the edges, 3 inside the first chunk,
     # k-1 and k on either side of the first boundary, 2k on a later one,
-    # 3k+5, 4k-37 and 4k past several.
+    # 3k+5, 4k-37 and 4k past several.  The transform takes rows longest
+    # window first, so rows in descending order with duplicates, a single
+    # row and a single p check that it puts every row back in place.
     k = _Y_CHUNK
-    for n, rows in [
-        (401, [0, 3, 150, 200, 261, 400]),
-        (8 * k + 1, [0, 3, k - 1, 7 * k, 2 * k, 3 * k + 5, 4 * k, 4 * k + 37, 8 * k]),
+    long_rows = [0, 3, k - 1, 7 * k, 2 * k, 3 * k + 5, 4 * k, 4 * k + 37, 8 * k]
+    for n, rows, p_row in [
+        (401, [0, 3, 150, 200, 261, 400], p),
+        (8 * k + 1, long_rows, p),
+        (8 * k + 1, [8 * k - 3, 4 * k + 37, 4 * k + 37, 3 * k + 5, 2 * k, 2 * k, k - 1, 3, 3],
+         p),
+        (8 * k + 1, [3 * k + 5], p),
+        (8 * k + 1, long_rows, np.array([width_p])),
+        (8 * k + 1, long_rows, np.concatenate([[-p_fast], p, [p_fast]])),
     ]:
         x = dx * (np.arange(n) - 0.5 * (n - 1))
         rho = sg.density_matrix(state, x)
         q = x[rows]
-        field = sg.wigner_numeric(rho, q, p)
-        want = _reference_wigner_numeric(rho, q, p)
+        field = sg.wigner_numeric(rho, q, p_row)
+        want = _reference_wigner_numeric(rho, q, p_row)
         peak = max(float(np.max(np.abs(block))) for block in want.values())
         assert peak * params.hbar > 1e-3
         for pair in SPIN_PAIRS:
             dev = float(np.max(np.abs(field.block(pair) - want[pair])))
-            assert dev <= 1e-12 * peak, (n, pair)
+            assert dev <= 1e-12 * peak, (n, rows, p_row.size, pair)
+
+
+def test_numeric_transform_rows_follow_a_permuted_q_axis(silver):
+    # rows are computed longest window first and put back in the caller's
+    # order, so permuting q permutes the rows and nothing else
+    state = sg.evolve_in_field(silver, 1.0e-5)
+    dx = 3.5e-9
+    k = _Y_CHUNK
+    x = dx * (np.arange(8 * k + 1) - 4.0 * k)
+    rho = sg.density_matrix(state, x)
+    q = x[np.arange(0, 8 * k + 1, 37)]
+    width_p = silver.hbar / (np.sqrt(2.0) * silver.sigma)
+    p = np.linspace(-3.0 * width_p, 3.0 * width_p, 9)
+    perm = np.random.default_rng(7).permutation(q.size)
+    field = sg.wigner_numeric(rho, q, p)
+    permuted = sg.wigner_numeric(rho, q[perm], p)
+    np.testing.assert_array_equal(permuted.q, q[perm])
+    peak = max(float(np.max(np.abs(field.block(pair)))) for pair in SPIN_PAIRS)
+    assert peak * silver.hbar > 1e-3
+    for pair in SPIN_PAIRS:
+        dev = float(np.max(np.abs(permuted.block(pair) - field.block(pair)[perm])))
+        assert dev <= 1e-12 * peak, pair
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("axis", ["q", "p"])
+def test_numeric_transform_rejects_a_non_finite_axis(silver, axis, bad):
+    # a NaN q passed the node check (NaN compares False) and read edge node
+    # 0; a NaN p gave NaN values; both must name the axis instead
+    state = sg.evolve_in_field(silver, 1.0e-5)
+    dx = 3.5e-9
+    x = dx * (np.arange(401) - 200.0)
+    rho = sg.density_matrix(state, x)
+    q = np.array([x[150], x[200]])
+    p = np.array([-1e-28, 0.0])
+    if axis == "q":
+        q[1] = bad
+    else:
+        p[1] = bad
+    match = f"the {axis} axis must be finite"
+    with pytest.raises(ValueError, match=match):
+        sg.wigner_numeric(rho, q, p)
+    with pytest.raises(ValueError, match=match):
+        sg.density_grid_for_wigner(state, q, float(np.max(np.abs(p))))
+    with pytest.raises(ValueError, match=match):
+        sg.wigner_field(state, q, p, method="numeric")
 
 
 def test_numeric_transform_streams_its_phase_table(state_early, silver):
