@@ -3,20 +3,17 @@
 import dataclasses
 import math
 import os
-import signal
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import sgcoarse as sg
-from sgcoarse import cli, numerics
+from sgcoarse import cli
 from sgcoarse.numerics import gauss_legendre_nodes, osc_gauss_window
 from sgcoarse.phase_space import (
     _SUPPORT_SIGMAS,
@@ -411,7 +408,7 @@ def test_import_does_not_load_scipy(module):
 
 
 def test_import_does_not_load_concurrent_futures():
-    # osc_gauss_window's worker pool is made on first use
+    # nothing in the package runs work on a thread pool
     code = "import sys, sgcoarse.cli; print('concurrent.futures' in sys.modules)"
     assert _fresh_python(code) == "False"
 
@@ -424,20 +421,17 @@ def test_import_does_not_load_concurrent_futures():
 ], ids=["density", "verify", "info", "wigner-coarse"])
 def test_subcommands_load_scipy_only_where_they_call_it(tmp_path, argv, loads):
     # scipy is absent after the import and present after main only if the
-    # subcommand evaluates an erf, an xlogy or a quadrature
-    code = (f"import sys; from sgcoarse import cli; before = {_SCIPY_LOADED}; "
+    # subcommand evaluates an erf, an xlogy or a quadrature; no subcommand
+    # leaves a thread behind
+    code = (f"import sys, threading; from sgcoarse import cli; before = {_SCIPY_LOADED}; "
             f"status = cli.main({argv.split() + ['--out', str(tmp_path)]!r}); "
-            f"print(before, {_SCIPY_LOADED}, status)")
-    assert _fresh_python(code) == f"False {loads} 0"
+            f"print(before, {_SCIPY_LOADED}, status, threading.active_count())")
+    assert _fresh_python(code) == f"False {loads} 0 1"
 
 
 def _coarse_16(state):
     q, p = sg.default_phase_space_grid(state.params, state.t, n_q=16, n_p=16)
     return sg.coarse_grain(sg.wigner_field(state, q, p), sg.CoarsePixelSpec.default())
-
-
-def _block_bits(field):
-    return np.stack([field.w_pp, field.w_mm, field.w_pm.real, field.w_pm.imag]).view(np.uint64)
 
 
 def test_coarse_grain_calls_every_window_on_the_callers_thread(state_early, monkeypatch):
@@ -453,36 +447,6 @@ def test_coarse_grain_calls_every_window_on_the_callers_thread(state_early, monk
     monkeypatch.setattr(sg.phase_space, "osc_gauss_window", recording)
     _coarse_16(state_early)
     assert threads and set(threads) == {threading.get_ident()}
-
-
-def test_forked_child_coarse_grains_like_its_parent(state_early, tmp_path):
-    want = _coarse_16(state_early)
-    assert numerics._pool is not None  # the parent's worker thread is running
-    out = tmp_path / "child.npy"
-    with warnings.catch_warnings():
-        # Python 3.12 warns that forking a process with threads may deadlock:
-        # that is the case under test
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            np.save(out, _block_bits(_coarse_16(state_early)))
-            code = 0
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 30.0
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("a forked child's coarse_grain did not finish within 30 s")
-        time.sleep(0.02)
-    assert os.waitstatus_to_exitcode(status) == 0
-    assert np.array_equal(np.load(out), _block_bits(want))
 
 
 def test_fringe_scale_measurement(silver):
