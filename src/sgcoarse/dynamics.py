@@ -9,14 +9,11 @@ mirror image (a₋ = -F/m).
 For a uniform force the propagator is known in closed form,
 
     K_s(x, xᵢ; t) = sqrt(m/2πiħt) · exp (i/ħ)[ m(x-xᵢ)²/2t
-                    + m a_s t (x+xᵢ)/2 - m a_s² t³/24 ],
+                    + m a_s t (x+xᵢ)/2 - m a_s² t³/24 ].
 
-and can equally be generated from the free kernel by hopping into the frame
-that falls with the branch (ξ = x - a_s t²/2) and paying a position- and
-time-dependent phase.  Folding the initial Gaussian (πσ²)^(-1/4) e^(-x²/2σ²)
-through K_s gives a Gaussian at every later time, so states are carried
-around as complex quadratic exponents rather than samples.  In scaled units
-(m = ħ = σ = 1),
+Folding the initial Gaussian (πσ²)^(-1/4) e^(-x²/2σ²) through K_s gives a
+Gaussian at every later time, so states are carried around as complex
+quadratic exponents rather than samples.  In scaled units (m = ħ = σ = 1),
 
     φ_s(x, t) = π^(-1/4) (1+it)^(-1/2) ·
                 exp{ -[12x² + a_s²t³(4i - t) + 12 a_s x t (t - 2i)] / [24(1+it)] },
@@ -164,7 +161,8 @@ class SpinorWavepacket:
         mu = -g.beta.real / a
         log_c = 2.0 * math.log(abs(g.norm)) - 2.0 * g.gamma.real + a * mu * mu
         w2 = abs(self.params.weight(branch)) ** 2
-        return DensityForm(w2 * math.exp(log_c), mu, a, math.log(w2) + log_c)
+        log_w2 = math.log(w2) if w2 > 0.0 else -math.inf  # a pure spin state has w2 = 0
+        return DensityForm(w2 * math.exp(log_c), mu, a, log_w2 + log_c)
 
     def branch_overlap(self) -> complex:
         """⟨φ₋|φ₊⟩ evaluated exactly from the stored exponents."""
@@ -210,69 +208,3 @@ def evolve_free_after_field(params: PhysicalParams, t1: float, t: float) -> Spin
         plus=state.plus.free_evolved(dts),
         minus=state.minus.free_evolved(dts),
     )
-
-
-def kernel(block: str, x, x_i, t: float, params: PhysicalParams):
-    """Propagator block ⟨x|U_s(t)|xᵢ⟩; spin-off-diagonal blocks vanish.
-
-    block is one of '++', '--', '+-', '-+'.  t must be positive and finite:
-    the kernel is distributional at t = 0.
-    """
-    if block not in SPIN_PAIRS:
-        raise ValueError(f"block must be one of {SPIN_PAIRS}, got {block!r}")
-    if not (0.0 < t < math.inf):
-        raise ValueError(f"kernel requires finite t > 0, got {t}")
-    x = np.asarray(x, dtype=float)
-    x_i = np.asarray(x_i, dtype=float)
-    if block in ("+-", "-+"):
-        return np.zeros(np.broadcast(x, x_i).shape, dtype=complex)
-
-    units = UnitSystem.for_params(params)
-    xs, xis = units.scale_length(x), units.scale_length(x_i)
-    ts = units.scale_time(t)
-    a = units.scale_accel(params.accel) * branch_sign(block[0])
-    phase = (xs - xis) ** 2 / (2.0 * ts) + a * ts * (xs + xis) / 2.0 - a**2 * ts**3 / 24.0
-    return np.exp(1j * phase) / (np.sqrt(2j * np.pi * ts) * units.sigma)
-
-
-def free_kernel(x, x_i, t: float, params: PhysicalParams):
-    """Free-particle propagator sqrt(m/2πiħt)·exp[i m(x-xᵢ)²/2ħt]."""
-    if not (0.0 < t < math.inf):
-        raise ValueError(f"kernel requires finite t > 0, got {t}")
-    units = UnitSystem.for_params(params)
-    xs = units.scale_length(np.asarray(x, dtype=float))
-    xis = units.scale_length(np.asarray(x_i, dtype=float))
-    ts = units.scale_time(t)
-    return np.exp(1j * (xs - xis) ** 2 / (2.0 * ts)) / (np.sqrt(2j * np.pi * ts) * units.sigma)
-
-
-@dataclass(frozen=True)
-class FallingFrameTransform:
-    """Coordinates of the frame falling with one branch.
-
-    In the frame ξ = x - a t²/2 the branch moves freely; transforming back
-    costs the phase f(x, t) = (m a t/ħ)(ξ + a t²/3).  Applying that phase to
-    the free kernel regenerates the uniform-force kernel exactly.
-    """
-
-    params: PhysicalParams
-    branch: str
-
-    @property
-    def accel(self) -> float:
-        return branch_sign(self.branch) * self.params.accel
-
-    def comoving(self, x, t: float):
-        return np.asarray(x, dtype=float) - 0.5 * self.accel * t**2
-
-    def phase(self, x, t: float):
-        xi = self.comoving(x, t)
-        return (self.params.mass * self.accel * t / self.params.hbar) * (
-            xi + self.accel * t**2 / 3.0
-        )
-
-    def lift_free_kernel(self, x, x_i, t: float):
-        """e^{if(x,t)} · K_free(ξ(x,t), xᵢ; t), equal to kernel('ss', ...)."""
-        return np.exp(1j * self.phase(x, t)) * free_kernel(
-            self.comoving(x, t), x_i, t, self.params
-        )

@@ -216,8 +216,8 @@ def screen_distribution(
     from scipy.special import xlogy
 
     Delta = float(Delta)
-    if not Delta > 0.0:
-        raise ValueError(f"pixel width must be positive, got {Delta}")
+    if not (0.0 < Delta < math.inf):
+        raise ValueError(f"pixel width must be positive and finite, got {Delta}")
     u = state.units
     dh = u.scale_length(Delta)
 
@@ -249,7 +249,7 @@ def screen_distribution(
         q_plus = np.where(
             safe,
             np.divide(p_plus, tot, out=np.zeros_like(tot), where=safe),
-            1.0 / (1.0 + np.exp(np.clip(lm - lp, -700.0, 700.0))),
+            1.0 / (1.0 + np.exp(lm - lp)),
         )
     q_plus = np.clip(q_plus, 0.0, 1.0)
     q_minus = 1.0 - q_plus

@@ -82,10 +82,6 @@ class GridState:
     def norm(self, branch: str) -> float:
         return float(np.sum(np.abs(self.branch(branch)) ** 2) * self.dx)
 
-    def mean_position(self, branch: str) -> float:
-        p = np.abs(self.branch(branch)) ** 2
-        return float(np.sum(self.x * p) * self.dx / (np.sum(p) * self.dx))
-
     def boundary_mass(self, margin: float = 2.0) -> float:
         """Probability within `margin` (scaled) of either grid edge."""
         p_tot = (np.abs(self.psi[0]) ** 2 + np.abs(self.psi[1]) ** 2) * self.dx

@@ -141,7 +141,7 @@ def _pair_form(state: SpinorWavepacket, pair: str) -> _PairForm:
         * np.sqrt(np.pi / a2)
     )
     return _PairForm(
-        log_pref=complex(np.log(pref)),
+        log_pref=complex(np.log(pref)) if pref != 0 else complex(-math.inf),
         cqq=float(cqq.real),
         cpp=float(cpp.real),
         cqp=float(cqp.real),
@@ -623,8 +623,11 @@ def coarse_position_density(
 ) -> np.ndarray:
     """Δ-window average of |c_α φ_α|² at positions q (m): the reference curve
     for the position marginal of a coarse-grained field."""
+    Delta = float(Delta)
+    if not (0.0 < Delta < math.inf):
+        raise ValueError(f"pixel width must be positive and finite, got {Delta}")
     u = state.units
-    qa = np.asarray(u.scale_length(q), dtype=float)
+    qa = u.scale_length(np.asarray(q, dtype=float))
     hw = 0.5 * u.scale_length(Delta)
     f = state.density_form(pair[0])
     mass = f.C * gauss_window(qa - hw, qa + hw, f.mu, f.a)

@@ -55,6 +55,31 @@ def test_entropy_and_info_follow_unequal_weights(tmp_path, run_cli, read_csv):
     assert np.all(info[:, 1] <= info[:, 2] + 1e-9)
 
 
+@pytest.mark.parametrize("c_plus, c_minus", [(1.0, 0.0), (0.0, 1.0)], ids=["up", "down"])
+def test_pure_spin_state_runs_and_replays(tmp_path, run_cli, read_csv, c_plus, c_minus):
+    # a zero weight gives no spin information, no entanglement and no
+    # Wigner block of its own or of the coherence
+    cfg = _weighted_config(tmp_path, c_plus=complex(c_plus), c_minus=complex(c_minus))
+    first = tmp_path / "first"
+    assert run_cli(["info", "--config", cfg, "--out", str(first), "--points", "5"]) == 0
+    assert run_cli(["wigner", "--config", cfg, "--out", str(first), "--t", "1e-06",
+                    "--grid", "17x17", "--coarse", "--coarse-grid", "5x5"]) == 0
+    _, _, info = read_csv(first / "info.csv")
+    assert info.shape == (5, 3) and np.all(info[:, 1:] == 0.0)
+    kept, empty = (2, 3) if c_plus else (3, 2)  # W_pp, W_mm columns
+    for name in ("wigner_t1e-06.csv", "wigner_coarse_t1e-06.csv"):
+        _, _, rows = read_csv(first / name)
+        assert np.max(rows[:, kept]) > 0.0, name
+        assert np.all(rows[:, [empty, 4, 5]] == 0.0), name
+    outputs = sorted(first.iterdir())
+    for source in outputs:
+        again = tmp_path / f"replay-{source.name}"
+        command = source.stem.split("_")[0]
+        assert run_cli([command, "--config", str(source), "--out", str(again)]) == 0
+        for path in again.iterdir():
+            assert path.read_bytes() == (first / path.name).read_bytes(), (source.name, path.name)
+
+
 def test_density_output(tmp_path, silver_config, run_cli, read_csv):
     out = tmp_path / "run"
     code = run_cli(["density", "--config", silver_config, "--out", str(out),

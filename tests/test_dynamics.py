@@ -1,4 +1,4 @@
-"""Closed-form wavepacket evolution: kinematics, kernels, exit handoff."""
+"""Closed-form wavepacket evolution: kinematics, propagation, exit handoff."""
 
 import math
 
@@ -43,12 +43,12 @@ def test_density_stays_normalized(state_late):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_spin_off_diagonal_kernel_blocks_vanish(silver):
-    x = np.linspace(-2e-6, 2e-6, 5)
-    for block in ("+-", "-+"):
-        kern = sg.kernel(block, x[:, None], x[None, :], 1e-5, silver)
-        assert kern.shape == (5, 5)
-        assert np.all(kern == 0)
+def _uniform_force_kernel(params, accel, x, x_i, t):
+    """⟨x|U(t)|xᵢ⟩ under the uniform acceleration `accel`, in SI."""
+    m, hbar = params.mass, params.hbar
+    action = (m * (x - x_i) ** 2 / (2.0 * t) + m * accel * t * (x + x_i) / 2.0
+              - m * accel**2 * t**3 / 24.0)
+    return np.sqrt(m / (2j * np.pi * hbar * t)) * np.exp(1j * action / hbar)
 
 
 def test_kernel_propagates_the_closed_form(silver, scales):
@@ -58,28 +58,10 @@ def test_kernel_propagates_the_closed_form(silver, scales):
     xi = np.linspace(-12 * silver.sigma, 12 * silver.sigma, 40001)
     psi0 = sg.evolve_in_field(silver, 0.0).amplitude("+", xi, weighted=False)
     xs = target.center("+") + np.array([-1.0, -0.3, 0.2, 0.9]) * silver.sigma
-    kern = sg.kernel("++", xs[:, None], xi[None, :], t, silver)
+    kern = _uniform_force_kernel(silver, silver.accel, xs[:, None], xi[None, :], t)
     got = np.trapezoid(kern * psi0[None, :], xi, axis=1)
     want = target.amplitude("+", xs, weighted=False)
     assert float(np.max(np.abs(got - want)) / np.max(np.abs(want))) < 1e-9
-
-
-def test_free_kernel_is_the_zero_force_limit():
-    params = sg.PhysicalParams.silver(force=0.0)
-    x = np.linspace(-2e-6, 2e-6, 9)
-    k_branch = sg.kernel("++", x[:, None], x[None, :], 1.3e-5, params)
-    k_free = sg.free_kernel(x[:, None], x[None, :], 1.3e-5, params)
-    scale = float(np.max(np.abs(k_free)))
-    np.testing.assert_allclose(k_branch, k_free, rtol=0, atol=1e-14 * scale)
-
-
-def test_falling_frame_regenerates_the_kernel(silver):
-    frame = sg.FallingFrameTransform(silver, "+")
-    assert frame.accel == pytest.approx(silver.accel)
-    x = np.linspace(-2e-6, 2e-6, 7)
-    kern = sg.kernel("++", x[:, None], x[None, :], 1.3e-5, silver)
-    lifted = frame.lift_free_kernel(x[:, None], x[None, :], 1.3e-5)
-    assert float(np.max(np.abs(kern - lifted)) / np.max(np.abs(kern))) < 1e-9
 
 
 def test_exit_handoff_is_continuous(silver):
@@ -125,12 +107,6 @@ def test_time_validation(silver):
         sg.evolve_free_after_field(silver, 2e-5, 1e-5)
     with pytest.raises(ValueError):
         sg.evolve_free_after_field(silver, -1e-9, 1e-5)
-    with pytest.raises(ValueError):
-        sg.kernel("++", 0.0, 0.0, 0.0, silver)
-    with pytest.raises(ValueError):
-        sg.free_kernel(0.0, 0.0, -1e-9, silver)
-    with pytest.raises(ValueError):
-        sg.kernel("xx", 0.0, 0.0, 1e-6, silver)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -141,12 +117,3 @@ def test_non_finite_times_are_rejected(silver, bad):
         sg.evolve_free_after_field(silver, bad, 1e-5)
     with pytest.raises(ValueError):
         sg.evolve_free_after_field(silver, 1e-6, bad)
-
-
-@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-9, math.inf],
-                         ids=["nan", "zero", "negative", "inf"])
-def test_kernels_need_a_positive_time(silver, bad):
-    with pytest.raises(ValueError, match="t > 0"):
-        sg.kernel("++", 0.0, 0.0, bad, silver)
-    with pytest.raises(ValueError, match="t > 0"):
-        sg.free_kernel(0.0, 0.0, bad, silver)

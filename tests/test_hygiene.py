@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in the package is used, and
-every module-level definition has a caller."""
+every module-level definition has a caller outside the unit tests or is
+listed as waiting on an open item for one."""
 
 import ast
 import pathlib
@@ -12,6 +13,16 @@ PACKAGE = pathlib.Path(sgcoarse.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+# Files whose references count as callers: a name only unit tests call is dead.
+CALLERS = ("src", "bench", "tests/test_acceptance.py", "tests/conftest.py")
+# Names that wait on an open ROADMAP item for their first caller, by module.
+# Exact, so it can only shrink: a listed name that gains a caller or is
+# deleted fails until it leaves the list.
+AWAITING_CALLER = {
+    "dynamics.py": {"evolve_free_after_field"},  # items 6 and 8
+    "information.py": {"reduced_spin_density", "von_neumann_entropy"},  # item 6
+    "phase_space.py": {"coarse_position_density"},  # item 9
+}
 
 
 def _bound_name(alias):
@@ -98,11 +109,12 @@ def _references(node, strings=True):
 
 
 def _referenced_outside(path, names):
-    """The subset of `names` some file in src/, tests/ or bench/ refers to,
-    not counting a definition's references to itself or the package
-    __init__'s re-export list."""
+    """The subset of `names` some file in CALLERS refers to, not counting a
+    definition's references to itself or the package __init__'s re-export
+    list."""
     found = set()
-    sources = [p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")]
+    sources = [p for c in map(ROOT.joinpath, CALLERS)
+               for p in (c.rglob("*.py") if c.is_dir() else [c])]
     for source in sources:
         tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
         own = {}  # definition node -> the names it defines, in the module itself
@@ -121,4 +133,5 @@ def test_module_level_definitions_are_referenced(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     names = {name for name, _ in _defined_names(tree)}
     dead = sorted(names - _referenced_outside(path, names))
-    assert not dead, f"{path.name}: module-level names nothing refers to: {dead}"
+    awaiting = sorted(AWAITING_CALLER.get(path.name, ()))
+    assert dead == awaiting, f"{path.name}: module-level names without a caller: {dead}"

@@ -100,6 +100,14 @@ def test_screen_before_separation(state_t0, silver):
     assert screen.captured == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("c_plus, c_minus", [(1.0, 0.0), (0.0, 1.0)], ids=["up", "down"])
+def test_pure_spin_screen_carries_no_information(silver, c_plus, c_minus):
+    params = sg.PhysicalParams.silver(c_plus=complex(c_plus), c_minus=complex(c_minus))
+    screen = sg.screen_distribution(sg.evolve_in_field(params, 3.0e-5), silver.sigma)
+    assert np.all(screen.I == 0.0)
+    assert screen.captured == pytest.approx(1.0, abs=1e-8)
+
+
 def test_screen_edge_alignment(state_t0, silver):
     screen = sg.screen_distribution(state_t0, 0.5 * silver.sigma, alignment="edge")
     # every pixel center sits half a width off the pixel-edge lattice
@@ -132,8 +140,6 @@ def test_screen_coverage_guard(state_late, silver):
     assert info.value.required == pytest.approx(1.0 - 1e-8)
     with pytest.raises(ValueError):
         sg.screen_distribution(state_late, silver.sigma, extent=(1e-6, -1e-6))
-    with pytest.raises(ValueError):
-        sg.screen_distribution(state_late, -1e-6)
 
 
 def test_mean_information_starts_at_zero(state_t0):

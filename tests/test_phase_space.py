@@ -510,6 +510,18 @@ def test_coarse_position_density_matches_quadrature(state_late, silver):
                                 q0 - width / 2, q0 + width / 2,
                                 epsabs=1e-16, epsrel=1e-13)
         assert got[i] == pytest.approx(val / width, rel=1e-12)
+    assert np.array_equal(sg.coarse_position_density(state_late, q.tolist(), width, "++"), got)
+
+
+@pytest.mark.parametrize("width", [-0.5e-6, 0.0, math.nan, math.inf],
+                         ids=["negative", "zero", "nan", "inf"])
+@pytest.mark.parametrize("pixelate", [
+    lambda state, width: sg.screen_distribution(state, width),
+    lambda state, width: sg.coarse_position_density(state, [0.0, 1e-6], width),
+], ids=["screen_distribution", "coarse_position_density"])
+def test_pixel_width_must_be_positive_and_finite(state_late, pixelate, width):
+    with pytest.raises(ValueError, match="pixel width"):
+        pixelate(state_late, width)
 
 
 def test_wigner_field_method_validation(state_early):
