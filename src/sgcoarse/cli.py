@@ -173,12 +173,14 @@ def _wigner_lines(p, blocks):
     """q-major CSV lines (q, p, W_pp, W_mm, Re W_pm, Im W_pm, W_proj_x) of
     (field, proj) blocks of q rows on the momentum axis p.  Every value
     reads as _fmt writes it; each p is formatted once per grid and each q
-    once per row, so only the five W columns are formatted per cell."""
+    once per row, so only the five W columns are formatted per cell.  An
+    underflowed W_pm keeps the sign of its phase; adding 0.0 writes it as
+    0, not -0, and leaves every other value as it is."""
     cell_fmt = "%s%s" + ",".join(["%.17g"] * 5) + "\n"
     p_text = [_fmt(v) + "," for v in p.tolist()]
     for field, proj in blocks:
         for i, q in enumerate(field.q.tolist()):
-            w_pm = field.w_pm[i]
+            w_pm = field.w_pm[i] + 0.0
             yield from map(cell_fmt.__mod__, zip(
                 itertools.repeat(_fmt(q) + ","), p_text,
                 field.w_pp[i].tolist(), field.w_mm[i].tolist(),

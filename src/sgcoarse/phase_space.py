@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import HBAR, PhysicalParams, ResolutionError, UnitSystem
 from .dynamics import SPIN_PAIRS, SpinorWavepacket
@@ -43,6 +42,7 @@ _RHO_PAD_WIDTHS = 14.0  # packet widths the rho grid reaches past the q axis
 _FRINGE_PERIODS = 6.0  # fringe periods spanned by measure_oscillation_scale
 _FRINGE_SAMPLES = 8192
 _Y_CHUNK = 256  # lags per phase-table chunk of wigner_numeric
+_LAG_BLOCK = 32  # chunks per row GEMM of wigner_numeric
 
 
 # ---------------------------------------------------------------------------
@@ -212,23 +212,23 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     nodes, or a q or p that is not finite, raises ValueError.  The
     y-trapezoid is then spectrally accurate for the smooth decaying
     integrands produced by Gaussian packets.
-    The lags y = 2·dx·j, j ≥ 0, are streamed in chunks of k = _Y_CHUNK: both
-    amplitude rows are padded with zeros, so a lag past a row's window puts
-    a sample off the grid and adds 0, and each chunk adds one complex
-    product r(+j) · exp(-i p y/ħ) for every live row and spin pair at once.
+    Each q row, at node i with window m = min(i, n-1-i), sums its own lags
+    y = 2·dx·j, j = 0…m, in chunks of k = _Y_CHUNK taken B = _LAG_BLOCK at
+    a time.  The amplitudes at q ± y/2 are contiguous slices of the two
+    amplitude rows, padded with k zeros so that a lag past m in a row's
+    last chunk puts a sample off the grid and adds 0, and one
+    (4·B × k) @ (k × n_p) product serves the four spin pairs of B chunks.
     By the shift theorem, exp(-i p 2dx(j₀+j')/ħ) = exp(-i p 2dx j₀/ħ) ·
     exp(-i p 2dx j'/ħ), so one k×n_p table for j' = 0…k-1 serves every
-    chunk, and the chunk at j₀ scales its product by one n_p-vector of
-    phases.  The rows are taken longest window first, m = min(i, n-1-i) for
-    node i, so the chunk at j₀ works only on the prefix of rows with
-    m ≥ j₀; the caller's row order is restored at the end.  The cost is
-    Σᵢ(mᵢ+1) row-lags, each row's rounded up to whole chunks, times 4·n_p
-    complex multiply-adds, plus (k + n_chunks)·n_p complex exps.  The
+    chunk, and the chunk at j₀ scales its product by one row of an
+    n_chunks×n_p table.  The cost is Σᵢ(⌊mᵢ/k⌋+1)·k·4·n_p complex
+    multiply-adds plus (k + n_chunks)·n_p complex exps.  The
     j < 0 half follows from r_αβ(-j) = conj(r_βα(+j)): it is the conjugate
     of the sum with the +- and -+ rows swapped, so the field is Hermitian
     and its diagonal real by construction, and it records no residue.
-    Memory is O(n_q·k + k·n_p + n_rho).  q, p are coordinate axes as in
-    wigner_analytic.
+    Memory is O(n_rho + B·k + (k + n_chunks)·n_p) besides the output: a
+    row's work buffers hold B·k lags however long its window.  q, p are
+    coordinate axes as in wigner_analytic.
     """
     x = rho.x
     if x.size < 3:
@@ -260,37 +260,33 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
             f"density matrix node; wigner_numeric evaluates q only at nodes"
         )
 
-    # Lags y = 2 dx j, j >= 0, are streamed in chunks of _Y_CHUNK.  Both
-    # amplitude rows carry m_max zeros on each side, so a lag past a row's
-    # window, j > m = min(i, n-1-i), puts one sample off the grid and adds 0.
-    # Rows run longest window first; the chunk at j0 takes the rows with
-    # m >= j0, a prefix of that order.
+    # Row i sums its lags j = 0..m, m = min(i, n-1-i), in chunks of k, B
+    # chunks per product; k zeros on each side of both amplitude rows make
+    # the lags past m in its last chunk put one sample off the grid.
     m = np.minimum(idx, x.size - 1 - idx)
-    order = np.argsort(-m, kind="stable")
-    m = m[order]
     m_max = int(m.max(initial=0))
-    rows = m_max + idx[order]  # row nodes in the padded amplitude rows
-    amps = np.zeros((2, x.size + 2 * m_max), dtype=complex)
-    amps[0, m_max:m_max + x.size] = rho.amp_plus
-    amps[1, m_max:m_max + x.size] = rho.amp_minus
-    y_step = 2.0 * dx / hbar  # phase per lag per unit p
     k = min(_Y_CHUNK, m_max + 1)
+    amps = np.zeros((2, x.size + 2 * k), dtype=complex)
+    amps[0, k:k + x.size] = rho.amp_plus
+    amps[1, k:k + x.size] = rho.amp_minus
+    y_step = 2.0 * dx / hbar  # phase per lag per unit p
     phase = np.exp(-1j * np.outer(y_step * np.arange(k), pa))  # lags j0 + 0..k-1
+    shift = np.exp(-1j * np.outer(y_step * np.arange(0, m_max + 1, k), pa))  # each j0
     acc = np.zeros((4, qa.size, pa.size), dtype=complex)  # ++, +-, -+, -- rows
-    for j0 in range(0, m_max + 1, k):
-        live = int(np.count_nonzero(m >= j0))
-        n_j = min(k, m_max + 1 - j0)
-        windows = sliding_window_view(amps, n_j, axis=1)
-        up = windows[:, rows[:live] + j0]  # amplitudes at q + y/2, (2, live, n_j)
-        down = windows[:, rows[:live] - (j0 + n_j - 1), ::-1]  # at q - y/2
-        r = (up[:, None] * np.conj(down)[None]).reshape(4 * live, n_j)
-        if j0 == 0:
-            r[:, 0] *= 0.5  # y = 0 is counted once over both signs of j
-        prod = (r @ phase[:n_j]).reshape(4, live, pa.size)
-        acc[:, :live] += prod * np.exp(-1j * (y_step * j0) * pa)
-    # Back to the caller's row order.  r_ab(-j) = conj(r_ba(+j)), so the sum
-    # over j < 0 is conj(acc) with the +- and -+ rows swapped.
-    acc = acc[:, np.argsort(order)]
+    for row, (c, m_row) in enumerate(zip((idx + k).tolist(), m.tolist())):
+        n_row = m_row // k + 1  # c is the row's node in the padded rows
+        for b0 in range(0, n_row, _LAG_BLOCK):
+            nb = min(_LAG_BLOCK, n_row - b0)
+            lo, span = b0 * k, nb * k
+            up = amps[:, c + lo:c + lo + span]  # amplitudes at q + y/2
+            down = np.conj(amps[:, c - lo - span + 1:c - lo + 1][:, ::-1])  # at q - y/2
+            r = (up[:, None] * down[None]).reshape(4 * nb, k)
+            if b0 == 0:
+                r[::nb, 0] *= 0.5  # y = 0 is counted once over both signs of j
+            prod = (r @ phase).reshape(4, nb, pa.size)
+            acc[:, row] += np.einsum("bcp,cp->bp", prod, shift[b0:b0 + nb])
+    # r_ab(-j) = conj(r_ba(+j)), so the sum over j < 0 is conj(acc) with
+    # the +- and -+ rows swapped.
     out = (acc + np.conj(acc[[0, 2, 1, 3]])) * (2.0 * dx / (2.0 * np.pi * hbar))
     w_pp, w_pm, _, w_mm = out
     return WignerMatrixField(

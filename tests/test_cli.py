@@ -80,6 +80,26 @@ def test_pure_spin_state_runs_and_replays(tmp_path, run_cli, read_csv, c_plus, c
             assert path.read_bytes() == (first / path.name).read_bytes(), (source.name, path.name)
 
 
+@pytest.mark.parametrize("weights", [None, (1.0, 0.0)], ids=["default", "up"])
+def test_wigner_writes_no_negative_zero(tmp_path, silver_config, run_cli, weights):
+    # an underflowed W_pm keeps the sign of its phase: at 3e-6 s for the
+    # default state, and on every cell for a pure spin state
+    cfg = silver_config
+    if weights is not None:
+        cfg = _weighted_config(tmp_path, c_plus=complex(weights[0]), c_minus=complex(weights[1]))
+    first = tmp_path / "first"
+    assert run_cli(["wigner", "--config", cfg, "--out", str(first), "--t", "3e-06",
+                    "--grid", "64x64"]) == 0
+    path = first / "wigner_t3e-06.csv"
+    fields = [value for line in path.read_text(encoding="utf-8").splitlines()
+              if not line.startswith("#") for value in line.split(",")]
+    assert len(fields) == 7 * (64 * 64 + 1)
+    assert "-0" not in fields
+    again = tmp_path / "again"
+    assert run_cli(["wigner", "--config", str(path), "--out", str(again)]) == 0
+    assert (again / path.name).read_bytes() == path.read_bytes()
+
+
 def test_density_output(tmp_path, silver_config, run_cli, read_csv):
     out = tmp_path / "run"
     code = run_cli(["density", "--config", silver_config, "--out", str(out),
@@ -235,9 +255,10 @@ def _old_row(row):
 
 
 def _wigner_rows(field, proj):
-    """The seven CSV columns of every cell, q-major, straight from the field."""
+    """The seven CSV columns of every cell, q-major, straight from the field;
+    W_pm's -0.0 reads as 0.0, the value the writer gives it."""
     return [(field.q[i], field.p[j], field.w_pp[i, j], field.w_mm[i, j],
-             field.w_pm[i, j].real, field.w_pm[i, j].imag, proj[i, j])
+             field.w_pm[i, j].real + 0.0, field.w_pm[i, j].imag + 0.0, proj[i, j])
             for i in range(field.q.size) for j in range(field.p.size)]
 
 

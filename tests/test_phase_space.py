@@ -16,6 +16,7 @@ import sgcoarse as sg
 from sgcoarse import cli
 from sgcoarse.numerics import gauss_legendre_nodes, osc_gauss_window
 from sgcoarse.phase_space import (
+    _LAG_BLOCK,
     _SUPPORT_SIGMAS,
     _Y_CHUNK,
     SPIN_PAIRS,
@@ -175,21 +176,29 @@ def test_folded_numeric_transform_matches_the_per_row_loop(silver, weights):
     # m = 4k lags for k = _Y_CHUNK, spans five lag chunks; a row's window
     # ends at m = min(i, n-1-i): 0 at the edges, 3 inside the first chunk,
     # k-1 and k on either side of the first boundary, 2k on a later one,
-    # 3k+5, 4k-37 and 4k past several.  The transform takes rows longest
-    # window first, so rows in descending order with duplicates, a single
-    # row and a single p check that it puts every row back in place.
+    # 3k+5, 4k-37 and 4k past several.  Rows in descending order with
+    # duplicates, a single row and a single p check that every row lands in
+    # its own place.  A row takes its chunks B = _LAG_BLOCK at a time, so
+    # windows of Bk-1, Bk and Bk+1 lags end just before, at and just after
+    # a block boundary, and windows of 2Bk-1, 2Bk and 2Bk+10 lags span two
+    # and three blocks.  Those rows lie near the centre of a grid of step
+    # dx_fine, on which the packet reaches across several blocks of lags.
     k = _Y_CHUNK
+    blk = _LAG_BLOCK * k
+    dx_fine = 1e-10
     long_rows = [0, 3, k - 1, 7 * k, 2 * k, 3 * k + 5, 4 * k, 4 * k + 37, 8 * k]
-    for n, rows, p_row in [
-        (401, [0, 3, 150, 200, 261, 400], p),
-        (8 * k + 1, long_rows, p),
-        (8 * k + 1, [8 * k - 3, 4 * k + 37, 4 * k + 37, 3 * k + 5, 2 * k, 2 * k, k - 1, 3, 3],
-         p),
-        (8 * k + 1, [3 * k + 5], p),
-        (8 * k + 1, long_rows, np.array([width_p])),
-        (8 * k + 1, long_rows, np.concatenate([[-p_fast], p, [p_fast]])),
+    for step, n, rows, p_row in [
+        (dx, 401, [0, 3, 150, 200, 261, 400], p),
+        (dx, 8 * k + 1, long_rows, p),
+        (dx, 8 * k + 1,
+         [8 * k - 3, 4 * k + 37, 4 * k + 37, 3 * k + 5, 2 * k, 2 * k, k - 1, 3, 3], p),
+        (dx, 8 * k + 1, [3 * k + 5], p),
+        (dx, 8 * k + 1, long_rows, np.array([width_p])),
+        (dx, 8 * k + 1, long_rows, np.concatenate([[-p_fast], p, [p_fast]])),
+        (dx_fine, 2 * blk + 3, [blk - 1, blk, blk + 1], p),
+        (dx_fine, 4 * blk + 21, [2 * blk - 1, 2 * blk, 2 * blk + 10, 0], p),
     ]:
-        x = dx * (np.arange(n) - 0.5 * (n - 1))
+        x = step * (np.arange(n) - 0.5 * (n - 1))
         rho = sg.density_matrix(state, x)
         q = x[rows]
         field = sg.wigner_numeric(rho, q, p_row)
@@ -202,8 +211,8 @@ def test_folded_numeric_transform_matches_the_per_row_loop(silver, weights):
 
 
 def test_numeric_transform_rows_follow_a_permuted_q_axis(silver):
-    # rows are computed longest window first and put back in the caller's
-    # order, so permuting q permutes the rows and nothing else
+    # each row sums its own window and is stored at its place in the
+    # caller's order, so permuting q permutes the rows and nothing else
     state = sg.evolve_in_field(silver, 1.0e-5)
     dx = 3.5e-9
     k = _Y_CHUNK
@@ -250,7 +259,11 @@ def test_numeric_transform_rejects_a_non_finite_axis(silver, axis, bad):
 def test_numeric_transform_streams_its_phase_table(state_early, silver):
     # acceptance test 4's grid: a 115 549-point rho and 64 momenta.  A full
     # phase table for every lag up to the longest window (57 320 x 64 as
-    # angle, cos and sin, 88 MB) puts the call's peak at 93 MB.
+    # angle, cos and sin, 88 MB) puts the call's peak at 93 MB, and padding
+    # the amplitude rows by the longest window at 17 MB.  Each row now
+    # streams its own window in blocks of _LAG_BLOCK chunks, so the working
+    # memory no longer grows with the longest window: the call peaks at
+    # 10.5 MB, mostly the sampled rho and its padded copy.
     q, p = sg.default_phase_space_grid(silver, state_early.t, n_q=64, n_p=64)
     tracemalloc.start()
     try:
@@ -258,7 +271,7 @@ def test_numeric_transform_streams_its_phase_table(state_early, silver):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 13e6
 
 
 @pytest.mark.parametrize("offset", [-7.0, -0.2, 3.0], ids=["low", "just-low", "high"])
