@@ -212,23 +212,28 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     nodes, or a q or p that is not finite, raises ValueError.  The
     y-trapezoid is then spectrally accurate for the smooth decaying
     integrands produced by Gaussian packets.
-    Each q row, at node i with window m = min(i, n-1-i), sums its own lags
-    y = 2·dx·j, j = 0…m, in chunks of k = _Y_CHUNK taken B = _LAG_BLOCK at
-    a time.  The amplitudes at q ± y/2 are contiguous slices of the two
-    amplitude rows, padded with k zeros so that a lag past m in a row's
-    last chunk puts a sample off the grid and adds 0, and one
-    (4·B × k) @ (k × n_p) product serves the four spin pairs of B chunks.
+    The sum runs over the support [lo, hi]: the first and last node where
+    max(|ψ₊|, |ψ₋|) reaches machine epsilon of its maximum M, so each
+    dropped term has one factor below eps·M and is below eps·M².
+    Each q row, at node i with window m = min(i-lo, hi-i), sums its own
+    lags y = 2·dx·j, j = 0…m, in chunks of k = _Y_CHUNK taken
+    B = _LAG_BLOCK at a time; a row with m < 0 lies outside the support
+    and is 0.  The amplitudes at q ± y/2 are contiguous slices of the two
+    amplitude rows, cut to the support and padded with k zeros so that a
+    lag past m in a row's last chunk puts a sample off it and adds 0, and
+    one (4·B × k) @ (k × n_p) product serves the four spin pairs of B chunks.
     By the shift theorem, exp(-i p 2dx(j₀+j')/ħ) = exp(-i p 2dx j₀/ħ) ·
     exp(-i p 2dx j'/ħ), so one k×n_p table for j' = 0…k-1 serves every
     chunk, and the chunk at j₀ scales its product by one row of an
-    n_chunks×n_p table.  The cost is Σᵢ(⌊mᵢ/k⌋+1)·k·4·n_p complex
-    multiply-adds plus (k + n_chunks)·n_p complex exps.  The
-    j < 0 half follows from r_αβ(-j) = conj(r_βα(+j)): it is the conjugate
-    of the sum with the +- and -+ rows swapped, so the field is Hermitian
-    and its diagonal real by construction, and it records no residue.
-    Memory is O(n_rho + B·k + (k + n_chunks)·n_p) besides the output: a
-    row's work buffers hold B·k lags however long its window.  q, p are
-    coordinate axes as in wigner_analytic.
+    n_chunks×n_p table.  The cost is Σ(⌊mᵢ/k⌋+1)·k·4·n_p complex
+    multiply-adds over the rows inside the support, plus (k + n_chunks)·n_p
+    complex exps.  The j < 0 half follows from r_αβ(-j) = conj(r_βα(+j)):
+    it is the conjugate of the sum with the +- and -+ rows swapped, so the
+    field is Hermitian and its diagonal real by construction, and it
+    records no residue.
+    Memory is O(n_rho + n_support + B·k + (k + n_chunks)·n_p) besides the
+    output: a row's work buffers hold B·k lags however long its window.
+    q, p are coordinate axes as in wigner_analytic.
     """
     x = rho.x
     if x.size < 3:
@@ -260,26 +265,31 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
             f"density matrix node; wigner_numeric evaluates q only at nodes"
         )
 
-    # Row i sums its lags j = 0..m, m = min(i, n-1-i), in chunks of k, B
-    # chunks per product; k zeros on each side of both amplitude rows make
-    # the lags past m in its last chunk put one sample off the grid.
-    m = np.minimum(idx, x.size - 1 - idx)
+    # Row i sums its lags j = 0..m, m = min(i-lo, hi-i), in chunks of k, B
+    # chunks per product; k zeros on each side of the amplitude rows, cut to
+    # the support, make the lags past m in its last chunk put a sample off it.
+    mag = np.maximum(np.abs(rho.amp_plus), np.abs(rho.amp_minus))
+    lo, hi = np.flatnonzero(mag >= np.finfo(float).eps * mag.max())[[0, -1]]
+    del mag  # not held through the transform
+    m = np.minimum(idx - lo, hi - idx)  # < 0: the row lies outside the support
     m_max = int(m.max(initial=0))
     k = min(_Y_CHUNK, m_max + 1)
-    amps = np.zeros((2, x.size + 2 * k), dtype=complex)
-    amps[0, k:k + x.size] = rho.amp_plus
-    amps[1, k:k + x.size] = rho.amp_minus
+    amps = np.zeros((2, hi - lo + 1 + 2 * k), dtype=complex)
+    amps[0, k:-k] = rho.amp_plus[lo:hi + 1]
+    amps[1, k:-k] = rho.amp_minus[lo:hi + 1]
     y_step = 2.0 * dx / hbar  # phase per lag per unit p
     phase = np.exp(-1j * np.outer(y_step * np.arange(k), pa))  # lags j0 + 0..k-1
     shift = np.exp(-1j * np.outer(y_step * np.arange(0, m_max + 1, k), pa))  # each j0
     acc = np.zeros((4, qa.size, pa.size), dtype=complex)  # ++, +-, -+, -- rows
-    for row, (c, m_row) in enumerate(zip((idx + k).tolist(), m.tolist())):
+    for row, (c, m_row) in enumerate(zip((idx - lo + k).tolist(), m.tolist())):
+        if m_row < 0:
+            continue  # stays 0
         n_row = m_row // k + 1  # c is the row's node in the padded rows
         for b0 in range(0, n_row, _LAG_BLOCK):
             nb = min(_LAG_BLOCK, n_row - b0)
-            lo, span = b0 * k, nb * k
-            up = amps[:, c + lo:c + lo + span]  # amplitudes at q + y/2
-            down = np.conj(amps[:, c - lo - span + 1:c - lo + 1][:, ::-1])  # at q - y/2
+            j0, span = b0 * k, nb * k
+            up = amps[:, c + j0:c + j0 + span]  # amplitudes at q + y/2
+            down = np.conj(amps[:, c - j0 - span + 1:c - j0 + 1][:, ::-1])  # at q - y/2
             r = (up[:, None] * down[None]).reshape(4 * nb, k)
             if b0 == 0:
                 r[::nb, 0] *= 0.5  # y = 0 is counted once over both signs of j

@@ -183,6 +183,21 @@ def test_folded_numeric_transform_matches_the_per_row_loop(silver, weights):
     # a block boundary, and windows of 2Bk-1, 2Bk and 2Bk+10 lags span two
     # and three blocks.  Those rows lie near the centre of a grid of step
     # dx_fine, on which the packet reaches across several blocks of lags.
+    # Last, a grid that reaches over two lag chunks past the support [lo, hi],
+    # the nodes where an amplitude reaches eps of its peak: rows lo and hi
+    # sum the one lag y = 0, row lo+1 two lags, and rows lo-1 and hi+1 lie
+    # outside the support, so they are exactly 0.
+    def compare(rho, rows, p_row):
+        q = rho.x[rows]
+        field = sg.wigner_numeric(rho, q, p_row)
+        want = _reference_wigner_numeric(rho, q, p_row)
+        peak = max(float(np.max(np.abs(block))) for block in want.values())
+        assert peak * params.hbar > 1e-3
+        for pair in SPIN_PAIRS:
+            dev = float(np.max(np.abs(field.block(pair) - want[pair])))
+            assert dev <= 1e-12 * peak, (rho.x.size, rows, p_row.size, pair)
+        return field
+
     k = _Y_CHUNK
     blk = _LAG_BLOCK * k
     dx_fine = 1e-10
@@ -199,15 +214,15 @@ def test_folded_numeric_transform_matches_the_per_row_loop(silver, weights):
         (dx_fine, 4 * blk + 21, [2 * blk - 1, 2 * blk, 2 * blk + 10, 0], p),
     ]:
         x = step * (np.arange(n) - 0.5 * (n - 1))
-        rho = sg.density_matrix(state, x)
-        q = x[rows]
-        field = sg.wigner_numeric(rho, q, p_row)
-        want = _reference_wigner_numeric(rho, q, p_row)
-        peak = max(float(np.max(np.abs(block))) for block in want.values())
-        assert peak * params.hbar > 1e-3
-        for pair in SPIN_PAIRS:
-            dev = float(np.max(np.abs(field.block(pair) - want[pair])))
-            assert dev <= 1e-12 * peak, (n, rows, p_row.size, pair)
+        compare(sg.density_matrix(state, x), rows, p_row)
+    n = 28 * k + 1
+    rho = sg.density_matrix(state, dx * (np.arange(n) - 0.5 * (n - 1)))
+    mag = np.maximum(np.abs(rho.amp_plus), np.abs(rho.amp_minus))
+    lo, hi = np.flatnonzero(mag >= np.finfo(float).eps * mag.max())[[0, -1]]
+    assert lo >= 2 * k and n - 1 - hi >= 2 * k
+    field = compare(rho, [lo - 1, lo, lo + 1, n // 2, hi, hi + 1], p)
+    for pair in SPIN_PAIRS:
+        assert np.all(field.block(pair)[[0, -1]] == 0.0), pair
 
 
 def test_numeric_transform_rows_follow_a_permuted_q_axis(silver):
@@ -230,6 +245,28 @@ def test_numeric_transform_rows_follow_a_permuted_q_axis(silver):
     for pair in SPIN_PAIRS:
         dev = float(np.max(np.abs(permuted.block(pair) - field.block(pair)[perm])))
         assert dev <= 1e-12 * peak, pair
+
+
+@pytest.mark.parametrize("c_plus, c_minus", [(1.0, 0.0), (0.0, 1.0)], ids=["up", "down"])
+def test_numeric_transform_of_a_pure_spin_state(c_plus, c_minus):
+    # the missing branch's amplitude row is exactly 0, so the support comes
+    # from the other row alone, and every product with the missing row is 0
+    params = sg.PhysicalParams.silver(c_plus=complex(c_plus), c_minus=complex(c_minus))
+    state = sg.evolve_in_field(params, 1.0e-5)
+    branch, missing = ("+", "-") if c_plus else ("-", "+")
+    width_q = math.sqrt(state.variance(branch))
+    width_p = params.hbar / (math.sqrt(2.0) * params.sigma)
+    q = state.center(branch) + np.linspace(-6.0 * width_q, 6.0 * width_q, 33)
+    p = state.mean_momentum(branch) + np.linspace(-6.0 * width_p, 6.0 * width_p, 33)
+    numeric = sg.wigner_field(state, q, p, method="numeric")
+    analytic = sg.wigner_analytic(state, q, p)
+    assert np.all(numeric.block(missing + missing) == 0.0)
+    assert np.all(numeric.w_pm == 0.0)
+    want = analytic.block(branch + branch)
+    peak = float(np.max(np.abs(want)))
+    assert peak * params.hbar > 0.3
+    dev = float(np.max(np.abs(numeric.block(branch + branch) - want)))
+    assert dev <= 1e-9 * peak
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -260,10 +297,11 @@ def test_numeric_transform_streams_its_phase_table(state_early, silver):
     # acceptance test 4's grid: a 115 549-point rho and 64 momenta.  A full
     # phase table for every lag up to the longest window (57 320 x 64 as
     # angle, cos and sin, 88 MB) puts the call's peak at 93 MB, and padding
-    # the amplitude rows by the longest window at 17 MB.  Each row now
-    # streams its own window in blocks of _LAG_BLOCK chunks, so the working
-    # memory no longer grows with the longest window: the call peaks at
-    # 10.5 MB, mostly the sampled rho and its padded copy.
+    # the amplitude rows by the longest window at 17 MB.  Each row streams
+    # its own window in blocks of _LAG_BLOCK chunks, so the working memory
+    # does not grow with the longest window, and the padded copy holds only
+    # the amplitudes' 48 895-node support: the call peaks at 8.3 MB, mostly
+    # the sampled rho (10.5 MB with a copy of all of it).
     q, p = sg.default_phase_space_grid(silver, state_early.t, n_q=64, n_p=64)
     tracemalloc.start()
     try:
@@ -271,7 +309,7 @@ def test_numeric_transform_streams_its_phase_table(state_early, silver):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 13e6
+    assert peak < 10e6
 
 
 @pytest.mark.parametrize("offset", [-7.0, -0.2, 3.0], ids=["low", "just-low", "high"])
