@@ -288,20 +288,18 @@ def mean_information(state: SpinorWavepacket) -> float:
     hi = max(mup + _TAIL_SIGMAS / math.sqrt(arp), mum + _TAIL_SIGMAS / math.sqrt(arm))
 
     def integrand(x):
-        pp = Cp * math.exp(-arp * (x - mup) ** 2)
-        pm = Cm * math.exp(-arm * (x - mum) ** 2)
+        pp = Cp * np.exp(-arp * (x - mup) ** 2)
+        pm = Cm * np.exp(-arm * (x - mum) ** 2)
         # log-ratio is exact even where the densities underflow
         dl = (lCp - arp * (x - mup) ** 2) - (lCm - arm * (x - mum) ** 2)
-        if dl >= 0.0:
-            w_plus = 1.0 / (1.0 + math.exp(-dl))
-        else:
-            e = math.exp(dl)
-            w_plus = e / (1.0 + e)
+        e = np.exp(-np.abs(dl))
+        w_plus = np.where(dl >= 0.0, 1.0, e) / (1.0 + e)
         w_minus = 1.0 - w_plus
         s = -(xlogy(w_plus, w_plus) + xlogy(w_minus, w_minus))
         return (pp + pm) * (prior - s)
 
-    val = real_quad(integrand, lo, hi, epsabs=1e-11, points=(mup, mum))
+    # panels one standard deviation of the narrower branch density wide
+    val = real_quad(integrand, lo, hi, 1.0 / math.sqrt(2.0 * max(arp, arm)), points=(mup, mum))
     return float(min(max(val, 0.0), prior))
 
 

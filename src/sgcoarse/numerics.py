@@ -18,13 +18,16 @@ regime of κ = k/√α:
 
   with the x < 0 half recovered from erf's oddness.
 
-scipy is imported inside the functions that call it, on first use, here
-and in information.py: the package imports only numpy, so density, verify
-and the fine Wigner grid never load scipy.  The coarse Wigner grid, entropy
-and info load scipy.special, and info also scipy.integrate.
+real_quad is a composite Gauss-Legendre rule in numpy: no quadrature goes
+through scipy.  scipy.special is imported inside the functions that call
+it, on first use, here and in information.py: the package imports only
+numpy, so density, verify and the fine Wigner grid never load scipy.  The
+coarse Wigner grid, entropy and info load scipy.special, and nothing else.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -70,20 +73,24 @@ def gauss_window(a, b, mu, alpha: float) -> np.ndarray:
     return (np.sqrt(np.pi) / (2.0 * ra)) * (erf((b - mu) * ra) - erf((a - mu) * ra))
 
 
-def real_quad(f, a: float, b: float, *, epsabs: float = 1e-12, limit: int = 400,
-              points=None) -> float:
-    """Adaptive Gauss-Kronrod quadrature of a real integrand.
+def real_quad(f, a: float, b: float, panel: float, points=()) -> float:
+    """∫_a^b f for a real integrand f that takes and returns arrays.
 
-    scipy.integrate is imported here, on first use, as scipy.special is
-    in the other functions that call it: scipy takes longer to import than
-    the rest of the package, and most entry points never integrate.
+    [a, b] is split at the `points` inside it, each piece into equal panels
+    no wider than `panel`, and each panel takes a 20-node Gauss-Legendre
+    rule.  The caller picks `panel` from its integrand's length scale.
     """
-    from scipy import integrate
+    from numpy.polynomial.legendre import leggauss
 
-    kw = dict(epsabs=epsabs, epsrel=1e-11, limit=limit)
-    if points is not None:
-        kw["points"] = [p for p in points if a < p < b]
-    return integrate.quad(f, a, b, **kw)[0]
+    cuts = [a, *sorted({p for p in points if a < p < b}), b]
+    edges = [a]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        edges.extend(np.linspace(lo, hi, math.ceil((hi - lo) / panel) + 1)[1:])
+    edges = np.array(edges)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    x, w = leggauss(20)
+    return float(np.sum(half * w * f(mid + half * x)))
 
 
 def gauss_legendre_nodes(a: float, b: float, n: int):

@@ -145,7 +145,8 @@ def step_split_operator(state: GridState, dt: float, params: PhysicalParams | No
     np.fft.ifft(out, axis=-1, out=out)
     out *= plan.kick
     norms = _branch_norms(out)
-    drift_max = max(state.step_norm_drift, float(np.max(np.abs(norms / state.norms - 1.0))))
+    # np.max, unlike max(), keeps a NaN drift from any step
+    drift_max = float(np.max(np.abs(norms / state.norms - 1.0), initial=state.step_norm_drift))
     return GridState(
         params=params,
         units=state.units,

@@ -1,5 +1,7 @@
 """Entanglement entropy, screen statistics, and the mean information bound."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -198,6 +200,45 @@ def test_mean_information_with_unequal_weights(w_plus, scales):
         state = sg.evolve_in_field(params, float(t))
         bound = sg.von_neumann_entropy(sg.reduced_spin_density(state))
         assert sg.mean_information(state) <= bound + 1e-12
+
+
+def _quad_information(state):
+    """Fine-limit H by adaptive quadrature of a scalar integrand that forms
+    the spin posteriors as a softmax of the branch log-densities."""
+    from scipy import integrate
+
+    forms = [state.density_form(b) for b in "+-"]
+    weights = [abs(state.params.c_plus) ** 2, abs(state.params.c_minus) ** 2]
+    prior = -sum(xlogy(w, w) for w in weights)
+
+    def integrand(x):
+        logs = [f.log_C - f.a * (x - f.mu) ** 2 for f in forms]
+        top = max(logs)
+        if top == -math.inf:
+            return 0.0
+        rel = [math.exp(v - top) for v in logs]
+        post = [r / sum(rel) for r in rel]
+        return math.exp(top) * sum(rel) * (prior + sum(xlogy(q, q) for q in post))
+
+    mus = sorted(f.mu for f in forms)
+    reach = 15.0 / math.sqrt(min(f.a for f in forms))
+    return integrate.quad(integrand, mus[0] - reach, mus[1] + reach, points=mus,
+                          epsabs=1e-14, epsrel=1e-13, limit=1000)[0]
+
+
+@given(log_t=st.floats(min_value=-9.0, max_value=-4.0),
+       w_plus=st.floats(min_value=0.0, max_value=1.0),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_mean_information_matches_adaptive_quadrature(log_t, w_plus, sign):
+    # the composite Gauss-Legendre rule against a tight adaptive reference,
+    # across times up to 1e-4 s, any spin weights and either sign of F
+    silver = sg.PhysicalParams.silver()
+    params = sg.PhysicalParams.silver(force=sign * silver.force,
+                                      c_plus=complex(math.sqrt(w_plus)),
+                                      c_minus=complex(math.sqrt(1.0 - w_plus)))
+    state = sg.evolve_in_field(params, 10.0 ** log_t)
+    want = _quad_information(state)
+    assert abs(sg.mean_information(state) - want) <= 1e-13 + 1e-10 * abs(want)
 
 
 @given(w_plus=st.floats(min_value=0.01, max_value=0.99),

@@ -1,5 +1,7 @@
 """Split-operator grid integrator against the closed forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,24 @@ def test_step_norm_drift_is_measured_each_step(silver, scales):
         for s in "+-"
     )
     assert abs(states[-1].step_norm_drift - want) <= 1e-16
+
+
+def _with_nan(state):
+    psi = state.psi.copy()
+    psi[0, psi.shape[1] // 2] = np.nan
+    return dataclasses.replace(state, psi=psi)
+
+
+def test_a_nan_step_norm_drift_is_kept(silver, scales, monkeypatch):
+    # a NaN norm makes a NaN drift, which the running maximum and the
+    # report both keep, so no bound on them can pass over it
+    dt = sg.default_dt(silver, scales.tau3)
+    state = sg.step_split_operator(_with_nan(sg.make_grid_state(silver, n=256)), dt)
+    assert np.isnan(state.norms[0]) and np.isfinite(state.norms[1])
+    assert np.isnan(state.step_norm_drift)
+    assert np.isnan(sg.step_split_operator(state, dt).step_norm_drift)
+    make = sg.oracle.make_grid_state
+    monkeypatch.setattr(sg.oracle, "make_grid_state", lambda *a, **kw: _with_nan(make(*a, **kw)))
+    report = sg.verify_closed_forms(silver, [scales.tau3], n=256)
+    assert np.isnan(report.rows[0].norm_drift)
+    assert np.isnan(report.max_norm_drift)

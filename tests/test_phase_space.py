@@ -449,7 +449,7 @@ def test_import_does_not_load_scipy_interpolate():
 
 
 def test_import_does_not_load_scipy_integrate():
-    # only real_quad integrates, and it imports scipy.integrate on first use
+    # real_quad is a numpy Gauss-Legendre rule: nothing loads scipy.integrate
     assert _loaded_after_fresh_import("scipy.integrate") == "False"
 
 
@@ -478,6 +478,14 @@ def test_subcommands_load_scipy_only_where_they_call_it(tmp_path, argv, loads):
             f"status = cli.main({argv.split() + ['--out', str(tmp_path)]!r}); "
             f"print(before, {_SCIPY_LOADED}, status, threading.active_count())")
     assert _fresh_python(code) == f"False {loads} 0 1"
+
+
+def test_info_does_not_load_scipy_integrate(tmp_path):
+    # the fine-limit information integrates in numpy; only scipy.special loads
+    code = (f"import sys; from sgcoarse import cli; "
+            f"status = cli.main({['info', '--points', '3', '--out', str(tmp_path)]!r}); "
+            f"print(status, 'scipy.special' in sys.modules, 'scipy.integrate' in sys.modules)")
+    assert _fresh_python(code) == "0 True False"
 
 
 def _coarse_16(state):
