@@ -155,14 +155,15 @@ class SpinorWavepacket:
         return self.units.unscale_momentum(self.branch(branch).mean_momentum)
 
     def density_form(self, branch: str) -> DensityForm:
-        """Weighted branch density as one real Gaussian in scaled units."""
+        """Weighted branch density as one real Gaussian in scaled units.
+
+        C = |c|²·sqrt(a/π) is the normalisation that the evolution keeps.
+        """
         g = self.branch(branch)
         a = 2.0 * g.alpha.real
-        mu = -g.beta.real / a
-        log_c = 2.0 * math.log(abs(g.norm)) - 2.0 * g.gamma.real + a * mu * mu
-        w2 = abs(self.params.weight(branch)) ** 2
-        log_w2 = math.log(w2) if w2 > 0.0 else -math.inf  # a pure spin state has w2 = 0
-        return DensityForm(w2 * math.exp(log_c), mu, a, log_w2 + log_c)
+        c = abs(self.params.weight(branch)) ** 2 * math.sqrt(a / math.pi)
+        log_c = math.log(c) if c > 0.0 else -math.inf  # a pure spin state has c = 0
+        return DensityForm(c, g.center, a, log_c)
 
     def branch_overlap(self) -> complex:
         """⟨φ₋|φ₊⟩ evaluated exactly from the stored exponents."""

@@ -6,9 +6,8 @@ The one nontrivial piece is the windowed oscillatory Gaussian integral
 
 needed by pixel averaging of interference terms, where k can reach a few
 hundred inverse window widths.  osc_gauss_window takes one formula per
-regime of κ = k/√α:
+regime of κ = k/√α, the diagonal blocks' k = 0 included:
 
-- k = 0, the diagonal blocks: gauss_window's real erf window;
 - |κ| ≤ _KAPPA_DIRECT: the textbook closed form
   (√π/2√α)·e^(-κ²/4)·[erf(√α u - iκ/2)], a direct complex erf;
 - larger |κ|, where that form overflows: the erf rewritten through the
@@ -52,8 +51,6 @@ def _erf_damped(x: np.ndarray, kappa: float) -> np.ndarray:
 
 def osc_gauss_window(a, b, alpha: float, k: float) -> np.ndarray:
     """∫_a^b exp(-α u² + i k u) du for real α > 0 and scalar k; a, b broadcast."""
-    if k == 0.0:
-        return gauss_window(a, b, 0.0, alpha)
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     ra = np.sqrt(alpha)

@@ -8,19 +8,25 @@ and the Wigner matrix
 
     W_αβ(q,p) = (1/2πħ) ∫ ρ_αβ(q+y/2, q-y/2) e^{-ipy/ħ} dy.
 
-Because every branch is a Gaussian exp(-(αx²+βx+γ)) the y-integral closes:
-each W_αβ is exp of a quadratic form in (q,p).  For equal-width branch pairs
-the quadratic coefficients are real and only the linear ones are complex, so
-the off-diagonal blocks are Gaussian envelopes times a plane-wave phase; the
-position wavenumber of that phase is 2mat/ħ, giving the fringe spacing scale
-d = ħ/(2Ft).
+Every branch is a normalised Gaussian of one shared width; in scaled units
+it is c_s (2a/π)^¼ exp(-α(x-x_s)² + i p_s(x-x_s) + iθ_s), α = a + ib.  So
+the y-integral closes on one centred phase-space Gaussian per block,
+
+    W_so(z) = (A/π)·exp(-(z-z̄)ᵀG(z-z̄) + i k₀·(z-z̄)),   z = (q, p),
+
+with z̄ the midpoint of the two branch centres (x, p), the unit-determinant
+G = [[2a + 2b²/a, b/a], [b/a, 1/(2a)]], k₀ = (Δp, -Δx) and
+A = c_s c_o* e^{i(θ_s - θ_o - Δx p̄)}, Δ taken as s - o (Littlejohn, Phys.
+Rep. 138, 193 (1986)).  A diagonal block has k₀ = 0 and A = |c_s|²; the
+cross block is the Gaussian at the midpoint times a plane wave whose
+position wavenumber 2mat/ħ sets the fringe spacing scale d = ħ/(2Ft).
+Every term is taken about the block's own centre and |A| from the
+normalisation, so no term grows with Ft only to cancel.
 
 Coarse graining averages each entry over a Δ×δ phase-space pixel.  The
 q-side integral of envelope × oscillation is done with the damped-erf window
 from numerics (stable at arbitrary wavenumber); the p-side is Gauss-Legendre
-restricted to the overlap of the window with the Gaussian support, with the
-full exponent assembled before a single exponentiation so that suppressed
-pixels underflow cleanly to zero instead of producing inf·0.
+restricted to the overlap of the window with the Gaussian support.
 """
 
 from __future__ import annotations
@@ -83,71 +89,53 @@ def density_matrix(state: SpinorWavepacket, grid) -> DensityMatrixField:
 
 
 @dataclass(frozen=True)
-class _PairForm:
-    """Scaled W_αβ(q,p) = exp(log_pref - cqq q² - cpp p² - cqp qp - cq q - cp p - c0).
+class _BlockForm:
+    """One Wigner block in scaled units, a phase-space Gaussian about its centre:
 
-    cqq, cpp, cqp are real for equal-width branch pairs (enforced at build
-    time); the linear coefficients carry the interference phase.
+        W(q,p) = (A/π)·exp(-zᵀGz + i k₀·z),   z = (q - q0, p - p0),
+
+    with G = [[gqq, gqp], [gqp, gpp]], det G = 1, and k₀ = (kq, kp).
     """
 
-    log_pref: complex
-    cqq: float
-    cpp: float
-    cqp: float
-    cq: complex
-    cp: complex
-    c0: complex
-
-    def exponent(self, q, p):
-        return (
-            self.log_pref
-            - self.cqq * q**2
-            - self.cpp * p**2
-            - self.cqp * q * p
-            - self.cq * q
-            - self.cp * p
-            - self.c0
-        )
+    amp: complex
+    q0: float
+    p0: float
+    gqq: float
+    gqp: float
+    gpp: float
+    kq: float
+    kp: float
 
     def value(self, q, p):
-        return np.exp(self.exponent(q, p))
+        dq, dp = q - self.q0, p - self.p0
+        quad = self.gqq * dq**2 + 2.0 * self.gqp * dq * dp + self.gpp * dp**2
+        return self.amp / np.pi * np.exp(-quad + 1j * (self.kq * dq + self.kp * dp))
 
 
-def _pair_form(state: SpinorWavepacket, pair: str) -> _PairForm:
-    """Close the Wigner y-integral for one spin pair of a Gaussian state."""
-    bs = state.branch(pair[0])
-    bo = state.branch(pair[1])
-    cs = state.params.weight(pair[0])
-    co = state.params.weight(pair[1])
-    a_sum = bs.alpha + np.conj(bo.alpha)
-    a_dif = bs.alpha - np.conj(bo.alpha)
-    b_sum = bs.beta + np.conj(bo.beta)
-    b_dif = (bs.beta - np.conj(bo.beta)) / 2.0
-    g_sum = bs.gamma + np.conj(bo.gamma)
-    a2 = a_sum / 4.0  # y² coefficient of the integrand
-    if a2.real <= 0.0:
-        raise ValueError("branch pair has non-normalizable Wigner integrand")
-    cqq = a_sum - a_dif**2 / (4.0 * a2)
-    cpp = 1.0 / (4.0 * a2)
-    cqp = -1j * a_dif / (2.0 * a2)
-    if abs(cqq.imag) > 1e-10 * abs(cqq.real) + 1e-300:
-        raise ValueError("unequal branch widths: quadratic form not real")
-    pref = (
-        cs
-        * np.conj(co)
-        * bs.norm
-        * np.conj(bo.norm)
-        / (2.0 * np.pi)
-        * np.sqrt(np.pi / a2)
-    )
-    return _PairForm(
-        log_pref=complex(np.log(pref)) if pref != 0 else complex(-math.inf),
-        cqq=float(cqq.real),
-        cpp=float(cpp.real),
-        cqp=float(cqp.real),
-        cq=complex(b_sum - a_dif * b_dif / (2.0 * a2)),
-        cp=complex(-1j * b_dif / (2.0 * a2)),
-        c0=complex(g_sum - b_dif**2 / (4.0 * a2)),
+def _block_form(state: SpinorWavepacket, pair: str) -> _BlockForm:
+    """Close the Wigner y-integral for one spin pair of an equal-width state.
+
+    The block is the module docstring's centred Gaussian.  Only the phase
+    θ_s = arg φ_s(x_s) is read from each branch's norm and exponent: |A| is
+    |c_s c_o| because the evolution keeps each branch normalised.
+    """
+    bs, bo = state.branch(pair[0]), state.branch(pair[1])
+    if abs(bs.alpha - bo.alpha) > 1e-10 * abs(bs.alpha):
+        raise ValueError("unequal branch widths: no equal-width Wigner form")
+    a, b = bs.alpha.real, bs.alpha.imag
+
+    def centre(g):  # x_s, p_s and θ_s
+        x = g.center
+        return x, g.mean_momentum, np.angle(g.norm) - (g.alpha * x * x + g.beta * x + g.gamma).imag
+
+    (xs, ps, ts), (xo, po, to) = centre(bs), centre(bo)
+    p0 = 0.5 * (ps + po)
+    amp = state.params.weight(pair[0]) * np.conj(state.params.weight(pair[1]))
+    return _BlockForm(
+        amp=complex(amp * np.exp(1j * (ts - to - (xs - xo) * p0))),
+        q0=0.5 * (xs + xo), p0=p0,
+        gqq=2.0 * a + 2.0 * b * b / a, gqp=b / a, gpp=0.5 / a,
+        kq=ps - po, kp=xo - xs,
     )
 
 
@@ -162,7 +150,7 @@ def wigner_analytic(state: SpinorWavepacket, q, p) -> WignerMatrixField:
     p = np.atleast_1d(np.asarray(p, dtype=float))
     qg = u.scale_length(q).reshape(-1, 1)
     pg = u.scale_momentum(p).reshape(1, -1)
-    w = {pair: u.unscale_wigner(_pair_form(state, pair).value(qg, pg))
+    w = {pair: u.unscale_wigner(_block_form(state, pair).value(qg, pg))
          for pair in ("++", "--", "+-")}
     return WignerMatrixField(
         params=state.params, t=state.t, q=q, p=p,
@@ -372,9 +360,7 @@ class WignerMatrixField:
     generating state when the field came from the closed form; marginals,
     totals and coarse graining need it and raise ValueError without it, so
     numeric and coarse fields can only be compared block by block.
-    `pixels` and `diag_imag_residue` are set on coarse-grained fields: the
-    residue is the largest imaginary part, a roundoff, of a diagonal block
-    average, which the stored real block drops.
+    `pixels` is set on coarse-grained fields.
     """
 
     params: PhysicalParams
@@ -386,7 +372,6 @@ class WignerMatrixField:
     w_pm: np.ndarray  # complex
     source: SpinorWavepacket | None = None
     pixels: CoarsePixelSpec | None = None
-    diag_imag_residue: float = 0.0
 
     @property
     def w_mp(self) -> np.ndarray:
@@ -420,17 +405,11 @@ class WignerMatrixField:
         """
         state = self._closed_form()
         u = state.units
-        form = _pair_form(state, pair)
-        qh = np.asarray(u.scale_length(self.q), dtype=float)
-        lp = form.cp + form.cqp * qh
-        ex = (
-            form.log_pref
-            - form.cqq * qh**2
-            - form.cq * qh
-            - form.c0
-            + lp**2 / (4.0 * form.cpp)
-        )
-        val = np.exp(ex) * np.sqrt(np.pi / form.cpp)
+        f = _block_form(state, pair)
+        dq = np.asarray(u.scale_length(self.q), dtype=float) - f.q0
+        # ∫dp closes on the centred form; det G = 1 makes the q precision 1/gpp
+        val = f.amp / np.sqrt(np.pi * f.gpp) * np.exp(
+            -(dq**2 + 0.25 * f.kp**2) / f.gpp + 1j * (f.kq - f.kp * f.gqp / f.gpp) * dq)
         return u.unscale_density(val)
 
     def total(self) -> float:
@@ -471,67 +450,53 @@ def wigner_field(state: SpinorWavepacket, q, p, method: str = "analytic") -> Wig
 
 
 def _box_average_form(
-    form: _PairForm,
+    form: _BlockForm,
     qh: np.ndarray,
     ph: np.ndarray,
     hu: float,
     hv: float,
 ) -> np.ndarray:
-    """Window average of exp(form) over [q±hu]×[p±hv], scaled units.
+    """Window average of the block over [q±hu]×[p±hv], scaled units.
 
-    Inner u-integral analytic (damped oscillatory erf window); outer
-    v-integral by Gauss-Legendre on the overlap of the window with the
-    integrand's Gaussian support.  qh, ph broadcast against each other.
+    With z = (Q, P) about the block's centre, the u-integral closes at
+    s = Q + (gqp/gqq)·P: it is exp(-P²/gqq + iκP)·J(s-hu, s+hu), where J
+    is the damped oscillatory erf window of ∫exp(-gqq w² + i kq w) dw and
+    κ = kp - kq·gqp/gqq (det G = 1 gives the 1/gqq).  The outer v-integral
+    is Gauss-Legendre on the overlap of the window with that Gaussian's
+    support.  Neither factor exceeds its peak, so a suppressed pixel
+    underflows to zero.  qh, ph broadcast against each other.
     """
-    cqq, cpp, cqp = form.cqq, form.cpp, form.cqp
-    if cqq <= 0.0:
-        raise ValueError("coarse graining needs a decaying position envelope")
-    ki = float(form.cq.imag)  # u-phase rate, constant over the field
-
-    # Re exponent as a quadratic in v (after closing the u integral):
-    #   A_v v² + B_v(q,p) v + const,  A_v < 0 for normalizable blocks
-    a_v = -cpp + cqp * cqp / (4.0 * cqq)
-    if a_v >= 0.0:
-        raise ValueError("coarse graining needs a decaying momentum envelope")
-    l0 = 2.0 * cqq * qh + form.cq + cqp * ph  # u-linear coeff at v=0
-    b_v = -2.0 * cpp * ph - cqp * qh - form.cp.real + cqp * l0.real / (2.0 * cqq)
-    v_star = np.real(b_v) / (-2.0 * a_v)
-    reach = _SUPPORT_SIGMAS / math.sqrt(-a_v)
-    lo = np.maximum(-hv, v_star - reach)
-    hi = np.minimum(hv, v_star + reach)
+    gqq, shear = form.gqq, form.gqp / form.gqq
+    kappa = form.kp - form.kq * shear  # v-phase rate
+    qc, pc = np.broadcast_arrays(qh - form.q0, ph - form.p0)
+    reach = _SUPPORT_SIGMAS * math.sqrt(gqq)
+    lo = np.maximum(-hv, -pc - reach)
+    hi = np.minimum(hv, -pc + reach)
     # Cells whose window misses the support are exactly zero; the node loop
     # runs on the live cells only, flattened.
     live = hi > lo
-    qh = np.broadcast_to(qh, live.shape)[live]
-    ph = np.broadcast_to(ph, live.shape)[live]
-    lo = lo[live]
-    hi = hi[live]
+    qc, pc, lo, hi = qc[live], pc[live], lo[live], hi[live]
 
     # Composite Gauss-Legendre in v: panel width short enough to resolve
-    # both the Gaussian envelope (scale 1/sqrt|A_v|) and the v-phase rate.
-    rate = abs(-form.cp.imag + ki * cqp / (2.0 * cqq))
+    # both the Gaussian envelope (scale sqrt(gqq)) and the v-phase rate.
     span = min(2.0 * hv, 2.0 * reach)
-    panel = 2.0 / math.sqrt(-a_v)
-    if rate > 0.0:
-        panel = min(panel, 8.0 / rate)
+    panel = 2.0 * math.sqrt(gqq)
+    if kappa != 0.0:
+        panel = min(panel, 8.0 / abs(kappa))
     n_panels = min(max(1, math.ceil(span / panel)), 64)
     xg, wg = gauss_legendre_nodes(0.0, 1.0, 12)
     offsets = [(k + xk) / n_panels for k in range(n_panels) for xk in xg]
     weights = [wk / n_panels for _ in range(n_panels) for wk in wg]
 
-    acc = np.zeros(qh.shape, dtype=complex)
+    acc = np.zeros(qc.shape, dtype=complex)
     width = hi - lo
     for xk, wk in zip(offsets, weights):
-        v = lo + width * xk
-        pv = ph + v
-        lu = 2.0 * cqq * qh + form.cq + cqp * pv
-        lr = lu.real
-        s = lr / (2.0 * cqq)
-        j = osc_gauss_window(-hu + s, hu + s, cqq, -ki)
-        e0 = form.exponent(qh, pv) + lr * lr / (4.0 * cqq) + 1j * ki * s
-        acc = acc + (wk * width) * np.exp(e0) * j
+        pv = pc + lo + width * xk
+        s = qc + shear * pv
+        j = osc_gauss_window(s - hu, s + hu, gqq, form.kq)
+        acc = acc + (wk * width) * np.exp(-pv * pv / gqq + 1j * kappa * pv) * j
     out = np.zeros(live.shape, dtype=complex)
-    out[live] = acc / (4.0 * hu * hv)
+    out[live] = form.amp / np.pi * acc / (4.0 * hu * hv)
     return out
 
 
@@ -550,15 +515,12 @@ def coarse_grain(field: WignerMatrixField, pix: CoarsePixelSpec) -> WignerMatrix
     hv = 0.5 * u.scale_momentum(pix.delta)
     blocks = {}
     for pair in ("++", "--", "+-"):
-        w = _box_average_form(_pair_form(state, pair), qh, ph, hu, hv)
+        w = _box_average_form(_block_form(state, pair), qh, ph, hu, hv)
         blocks[pair] = u.unscale_wigner(w)
     return WignerMatrixField(
         params=field.params, t=field.t, q=field.q, p=field.p,
         w_pp=blocks["++"].real, w_mm=blocks["--"].real, w_pm=blocks["+-"],
         source=None, pixels=pix,
-        diag_imag_residue=float(
-            max(np.max(np.abs(blocks["++"].imag)), np.max(np.abs(blocks["--"].imag)))
-        ),
     )
 
 

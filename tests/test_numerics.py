@@ -23,7 +23,7 @@ def _reference_osc(a, b, alpha, k):
 
 
 @pytest.mark.parametrize("kappa_range", [(0.0, 0.0), (0.0, _KAPPA_DIRECT), (_KAPPA_DIRECT, 90.0)],
-                         ids=["real-erf", "direct-erf", "faddeeva"])
+                         ids=["zero-kappa", "direct-erf", "faddeeva"])
 def test_osc_gauss_window_matches_mpmath(kappa_range):
     rng = np.random.default_rng(20151030)
     worst = 0.0

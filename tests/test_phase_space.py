@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -20,9 +21,9 @@ from sgcoarse.phase_space import (
     _SUPPORT_SIGMAS,
     _Y_CHUNK,
     SPIN_PAIRS,
+    _block_form,
     _box_average_form,
     _numeric_spacing_bound,
-    _pair_form,
 )
 
 # single-pixel averages at (q, p) = (+1e-6 m, 0) for t = 3e-5 s with the
@@ -93,6 +94,67 @@ def test_marginal_and_total(state_early, silver):
         dens = state_early.density(branch, q)
         assert float(np.max(np.abs(marg - dens)) / np.max(dens)) < 1e-9
     assert field.total() == pytest.approx(1.0, abs=1e-9)
+
+
+def _mpmath_block(state, pair, qh, ph):
+    """40-digit W_so at scaled points (qh, ph), scaled units: the y-integral
+    of c_s φ_s(q+y/2) (c_o φ_o(q-y/2))* e^{-ipy} / 2π closed as
+    sqrt(π/A) exp(B²/4A - C), with the in-field (α, β, γ, N) recomputed in
+    mpmath from the scaled time and acceleration."""
+    u = state.units
+    with mpmath.workdps(40):
+        t = mpmath.mpf(u.scale_time(state.t))
+        accel = mpmath.mpf(u.scale_accel(state.params.accel))
+        d = 1 + 1j * t
+        coef = {}
+        for b, a_s in (("+", accel), ("-", -accel)):
+            coef[b] = (mpmath.mpc(state.params.weight(b)) * mpmath.pi ** mpmath.mpf(-0.25)
+                       / mpmath.sqrt(d), 1 / (2 * d), a_s * t * (t - 2j) / (2 * d),
+                       a_s**2 * t**3 * (4j - t) / (24 * d))
+        (ns, als, bes, gas), (no, alo, beo, gao) = coef[pair[0]], coef[pair[1]]
+        alo, beo, gao, no = (mpmath.conj(v) for v in (alo, beo, gao, no))
+        out = []
+        for q, p in zip(qh, ph):
+            q, p = mpmath.mpf(q), mpmath.mpf(p)
+            a2 = (als + alo) / 4
+            b1 = (als - alo) * q + (bes - beo) / 2 + 1j * p
+            c0 = (als + alo) * q**2 + (bes + beo) * q + gas + gao
+            w = ns * no * mpmath.sqrt(mpmath.pi / a2) * mpmath.exp(b1**2 / (4 * a2) - c0)
+            out.append(complex(w / (2 * mpmath.pi)))
+    return np.array(out)
+
+
+# worst |W - mpmath| / block peak allowed on the stencil below; at t <= 1e-4 s
+# the W+- floor is half an ulp of its phase k0.z, up to 1.2e3 rad at 1e-4 s
+LONG_TIME_BOUNDS = {1e-6: 2e-13, 3e-5: 2e-13, 1e-4: 2e-13, 3e-4: 1e-12, 1e-2: 1e-9, 1e-1: 1e-7}
+
+
+@pytest.mark.parametrize("t", sorted(LONG_TIME_BOUNDS))
+def test_closed_form_keeps_its_digits_at_long_times(silver, t):
+    # a 3x3 stencil at 0 and +-1 marginal width in q and in p about each
+    # block's centre; at late times its corners lie on the sheared ridge
+    state = sg.evolve_in_field(silver, t)
+    u = state.units
+    alpha = state.branch("+").alpha
+    sq = 0.5 / math.sqrt(alpha.real) * silver.sigma
+    sp = math.sqrt(alpha.real + alpha.imag**2 / alpha.real) * silver.hbar / silver.sigma
+    for pair in ("++", "+-"):
+        q0 = 0.5 * (state.center(pair[0]) + state.center(pair[1]))
+        p0 = 0.5 * (state.mean_momentum(pair[0]) + state.mean_momentum(pair[1]))
+        q = np.repeat(q0 + sq * np.arange(-1, 2), 3)
+        p = np.tile(p0 + sp * np.arange(-1, 2), 3)
+        field = sg.wigner_analytic(state, q, p)
+        got = np.diagonal(field.block(pair)) * silver.hbar
+        want = _mpmath_block(state, pair, u.scale_length(q), u.scale_momentum(p))
+        peak = abs(silver.weight(pair[0]) * silver.weight(pair[1])) / np.pi
+        assert float(np.max(np.abs(got - want))) < LONG_TIME_BOUNDS[t] * peak
+
+
+@pytest.mark.parametrize("t", [3e-5, 1e-4, 3e-4])
+def test_closed_form_mass_is_exact(silver, t):
+    q, p = sg.default_phase_space_grid(silver, t, n_q=4001, n_p=2)
+    field = sg.wigner_field(sg.evolve_in_field(silver, t), q, p)
+    assert abs(field.total() - 1.0) < 1e-14
 
 
 def test_density_matrix_grid_validation(state_early):
@@ -411,6 +473,39 @@ def test_tiny_pixels_recover_the_fine_field(state_early, silver):
     assert devs[1e-4] / devs[1e-5] > 30.0
 
 
+@pytest.mark.parametrize("t", [1e-7, 1e-6, 1e-5, 3e-5])
+def test_coarse_pixels_tile_the_exact_masses(silver, t):
+    # q nodes exactly Delta apart and p nodes exactly delta apart tile the
+    # plane with pixel windows, so whatever the window average's method,
+    # sum W_pp Delta delta = |c+|^2 and sum W_pm Delta delta = c+ c-* <phi-|phi+>
+    state = sg.evolve_in_field(silver, t)
+    pix = sg.CoarsePixelSpec.default()
+    q_reach = abs(state.center("+")) + 12.0 * math.sqrt(state.variance("+")) + pix.Delta
+    p_reach = abs(state.mean_momentum("+")) + 12.0 * silver.hbar / silver.sigma + pix.delta
+    cell = pix.Delta * pix.delta
+    overlap = silver.c_plus * np.conj(silver.c_minus) * state.branch_overlap()
+    nq, np_ = math.ceil(q_reach / pix.Delta), math.ceil(p_reach / pix.delta)
+    for fq, fp in ((0.0, 0.0), (0.3, 0.7), (0.55, 0.2)):
+        q = pix.Delta * (fq + np.arange(-nq, nq + 1))
+        p = pix.delta * (fp + np.arange(-np_, np_ + 1))
+        bar = sg.coarse_grain(sg.wigner_field(state, q, p), pix)
+        assert abs(math.fsum((bar.w_pp * cell).ravel()) - abs(silver.c_plus) ** 2) < 1e-15
+        assert abs(math.fsum((bar.w_mm * cell).ravel()) - abs(silver.c_minus) ** 2) < 1e-15
+        assert abs(np.sum(bar.w_pm * cell) - overlap) < 1e-15
+
+
+@pytest.mark.parametrize("t", [1e-6, 3e-5])
+def test_coarse_diagonal_averages_are_exactly_real(silver, t):
+    state = sg.evolve_in_field(silver, t)
+    q, p = sg.default_phase_space_grid(silver, t, n_q=32, n_p=32)
+    qh, ph, hu, hv = _scaled_coarse_inputs(state, q, p)
+    for pair in ("++", "--"):
+        form = _block_form(state, pair)
+        assert form.amp.imag == 0.0 and form.kq == form.kp == 0.0
+        avg = _box_average_form(form, qh, ph, hu, hv)
+        assert np.any(avg.real) and not np.any(avg.imag)
+
+
 @pytest.mark.parametrize("kind", ["numeric", "coarse"])
 def test_fields_without_a_source_refuse_closed_form_operations(state_early, kind):
     q, p = sg.default_phase_space_grid(state_early.params, state_early.t, n_q=8, n_p=8)
@@ -646,49 +741,31 @@ def test_post_field_fringe_scale_follows_the_exit_time(state_post, silver):
 def _reference_box_average_form(form, qh, ph, hu, hv):
     """Full-grid box average: the node loop runs on every cell and the dead
     ones are masked to zero at the end."""
-    cqq, cpp, cqp = form.cqq, form.cpp, form.cqp
-    ki = float(form.cq.imag)
-    a_v = -cpp + cqp * cqp / (4.0 * cqq)
-    l0 = 2.0 * cqq * qh + form.cq + cqp * ph
-    b_v = -2.0 * cpp * ph - cqp * qh - form.cp.real + cqp * l0.real / (2.0 * cqq)
-    v_star = np.real(b_v) / (-2.0 * a_v)
-    reach = _SUPPORT_SIGMAS / math.sqrt(-a_v)
-    lo = np.maximum(-hv, v_star - reach)
-    hi = np.minimum(hv, v_star + reach)
+    gqq, shear = form.gqq, form.gqp / form.gqq
+    kappa = form.kp - form.kq * shear
+    qc, pc = np.broadcast_arrays(qh - form.q0, ph - form.p0)
+    reach = _SUPPORT_SIGMAS * math.sqrt(gqq)
+    lo = np.maximum(-hv, -pc - reach)
+    hi = np.minimum(hv, -pc + reach)
     live = hi > lo
     lo = np.where(live, lo, 0.0)
     hi = np.where(live, hi, 0.0)
-    rate = abs(-form.cp.imag + ki * cqp / (2.0 * cqq))
     span = min(2.0 * hv, 2.0 * reach)
-    panel = 2.0 / math.sqrt(-a_v)
-    if rate > 0.0:
-        panel = min(panel, 8.0 / rate)
+    panel = 2.0 * math.sqrt(gqq)
+    if kappa != 0.0:
+        panel = min(panel, 8.0 / abs(kappa))
     n_panels = min(max(1, math.ceil(span / panel)), 64)
     xg, wg = gauss_legendre_nodes(0.0, 1.0, 12)
     offsets = [(k + xk) / n_panels for k in range(n_panels) for xk in xg]
     weights = [wk / n_panels for _ in range(n_panels) for wk in wg]
-    acc = np.zeros(np.broadcast(qh, ph).shape, dtype=complex)
+    acc = np.zeros(live.shape, dtype=complex)
     width = hi - lo
     for xk, wk in zip(offsets, weights):
-        v = lo + width * xk
-        pv = ph + v
-        lu = 2.0 * cqq * qh + form.cq + cqp * pv
-        lr = lu.real
-        s = lr / (2.0 * cqq)
-        j = osc_gauss_window(-hu + s, hu + s, cqq, -ki)
-        e0 = (
-            form.log_pref
-            - cqq * qh**2
-            - cpp * pv**2
-            - cqp * qh * pv
-            - form.cq * qh
-            - form.cp * pv
-            - form.c0
-            + lr * lr / (4.0 * cqq)
-            + 1j * ki * s
-        )
-        acc = acc + (wk * width) * np.exp(e0) * j
-    return np.where(live, acc, 0.0) / (4.0 * hu * hv)
+        pv = pc + lo + width * xk
+        s = qc + shear * pv
+        j = osc_gauss_window(s - hu, s + hu, gqq, form.kq)
+        acc = acc + (wk * width) * np.exp(-pv * pv / gqq + 1j * kappa * pv) * j
+    return np.where(live, form.amp / np.pi * acc, 0.0) / (4.0 * hu * hv)
 
 
 def _scaled_coarse_inputs(state, q, p):
@@ -705,7 +782,7 @@ def test_live_cell_box_average_is_bit_identical(silver, t):
     q, p = sg.default_phase_space_grid(silver, t, n_q=128, n_p=128)
     qh, ph, hu, hv = _scaled_coarse_inputs(state, q, p)
     for pair in ("++", "--", "+-"):
-        form = _pair_form(state, pair)
+        form = _block_form(state, pair)
         got = _box_average_form(form, qh, ph, hu, hv)
         want = _reference_box_average_form(form, qh, ph, hu, hv)
         assert got.shape == want.shape == (128, 128)
@@ -721,7 +798,7 @@ def test_box_average_with_no_live_or_all_live_cells(silver):
     for p, all_live in ((far, False), (near, True)):
         qh, ph, hu, hv = _scaled_coarse_inputs(state, q, p)
         for pair in ("++", "--", "+-"):
-            form = _pair_form(state, pair)
+            form = _block_form(state, pair)
             got = _box_average_form(form, qh, ph, hu, hv)
             want = _reference_box_average_form(form, qh, ph, hu, hv)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
