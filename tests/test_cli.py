@@ -161,8 +161,9 @@ def test_verify_passes(tmp_path, silver_config, silver, scales, convergence,
     # the order is measured on the grid the header reports, not the default
     assert "# n_grid = 2048" in header and "# half_width = 10" in header
     _, orders = sg.convergence_order(silver, scales.tau3, n=2048, half_width=10.0)
-    assert f"# observed_convergence_order = {format(min(orders), '.17g')}" in header
-    assert min(orders) != min(convergence[1])
+    worst = max(orders, key=lambda order: abs(order - 2.0))
+    assert f"# observed_convergence_order = {format(worst, '.17g')}" in header
+    assert worst != max(convergence[1], key=lambda order: abs(order - 2.0))
 
 
 def test_verify_flags_coarse_timestep(tmp_path, silver_config, run_cli, capsys):
@@ -525,3 +526,23 @@ def test_verify_fails_on_a_nan_check_value(tmp_path, run_cli, capsys, monkeypatc
     assert run_cli(["verify", "--out", str(tmp_path), "--t-list", "1e-08,2e-08",
                     "--n", "2048"]) == 3
     assert f"verify: FAIL {check}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("orders", [(2.0, 2.7), (2.0, math.nan)], ids=["off-2", "nan"])
+def test_verify_checks_every_convergence_order(tmp_path, run_cli, read_csv, capsys, monkeypatch,
+                                               orders):
+    # the worst order is checked and written, not the smallest
+    monkeypatch.setattr(cli, "convergence_order", lambda *a, **kw: ([1e-9, 2.5e-10, 6e-11],
+                                                                   list(orders)))
+    assert run_cli(["verify", "--out", str(tmp_path), "--t-list", "1e-08", "--n", "2048"]) == 3
+    assert "verify: FAIL convergence_order:" in capsys.readouterr().err
+    header, _, _ = read_csv(tmp_path / "verify.csv")
+    assert f"# observed_convergence_order = {format(orders[1], '.17g')}" in header
+
+
+def test_verify_grid_below_16_points_names_the_count(tmp_path, run_cli, capsys):
+    # the parser refuses what make_grid_state would, before any resolution check
+    assert run_cli(["verify", "--n", "8", "--t-list", "1e-08", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "argument --n: invalid count value: '8'" in err and "undersamples" not in err
+    assert not list(tmp_path.glob("*.csv"))

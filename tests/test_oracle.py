@@ -1,6 +1,7 @@
 """Split-operator grid integrator against the closed forms."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -39,6 +40,39 @@ def test_second_order_convergence(convergence):
         assert order == pytest.approx(2.0, abs=0.01)
     for e_coarse, e_fine in zip(errs, errs[1:]):
         assert 3.6 < e_coarse / e_fine < 4.4  # halving dt quarters the error
+
+
+def test_convergence_study_starts_at_the_oracle_step(convergence, oracle_report, scales):
+    # level 0 steps at default_dt(tau3) = tau3/64: the evolution of the tau3 row
+    errs, _ = convergence
+    report, _ = oracle_report
+    row = report.rows[1]
+    assert row.t == scales.tau3
+    assert errs[0] == max(row.l2_err_plus, row.l2_err_minus)
+
+
+def test_convergence_study_takes_448_steps(silver, scales, monkeypatch):
+    calls = []
+    step = sg.oracle.step_split_operator
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(sg.oracle, "step_split_operator", counted)
+    sg.convergence_order(silver, scales.tau3, n=256)
+    assert len(calls) == 64 + 128 + 256
+
+
+def test_convergence_study_reads_the_minus_branch(silver, scales, monkeypatch):
+    error = sg.oracle._branch_error
+
+    def nan_minus(grid, exact, branch):
+        return math.nan if branch == "-" else error(grid, exact, branch)
+
+    monkeypatch.setattr(sg.oracle, "_branch_error", nan_minus)
+    errs, orders = sg.convergence_order(silver, scales.tau3, n=256)
+    assert np.all(np.isnan(errs)) and np.all(np.isnan(orders))
 
 
 def test_zero_force_is_exact_free_motion():
