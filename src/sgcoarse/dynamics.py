@@ -6,22 +6,26 @@ ever mixes them.  Branch labels follow the deflection: branch '+' is the
 component accelerated along +x when F > 0 (a₊ = +F/m), branch '-' the
 mirror image (a₋ = -F/m).
 
-For a uniform force the propagator is known in closed form,
+Under a potential that is at most quadratic a Gaussian stays Gaussian
+(Heller, J. Chem. Phys. 62, 1544 (1975)), so each branch is carried as
+four numbers (x̄, p̄, α, θ) rather than samples.  In scaled units
+(m = ħ = σ = 1) the branch is the centred Gaussian
 
-    K_s(x, xᵢ; t) = sqrt(m/2πiħt) · exp (i/ħ)[ m(x-xᵢ)²/2t
-                    + m a_s t (x+xᵢ)/2 - m a_s² t³/24 ].
+    φ(x) = (2 Re α/π)^¼ e^{iθ} exp(-α(x - x̄)² + i p̄ (x - x̄)).
 
-Folding the initial Gaussian (πσ²)^(-1/4) e^(-x²/2σ²) through K_s gives a
-Gaussian at every later time, so states are carried around as complex
-quadratic exponents rather than samples.  In scaled units (m = ħ = σ = 1),
+Under a uniform acceleration a for a time dt its centre moves classically,
+its width evolves as for a free packet (a uniform force displaces but never
+squeezes) and its phase gains the action along the centre's path:
 
-    φ_s(x, t) = π^(-1/4) (1+it)^(-1/2) ·
-                exp{ -[12x² + a_s²t³(4i - t) + 12 a_s x t (t - 2i)] / [24(1+it)] },
+    x̄ → x̄ + p̄ dt + a dt²/2,   p̄ → p̄ + a dt,   α → α/(1 + 2iα dt),
+    θ → θ + p̄²dt/2 + a p̄ dt² + a x̄ dt + a²dt³/3 - ½ arg(1 + 2iα dt).
 
-centered at a_s t²/2 with mean momentum a_s t and width growing like the
-free packet (a uniform force displaces but never squeezes).  Leaving the
-field at t₁ composes this with the free kernel, which again closes in the
-same Gaussian family, coherences included.
+The in-field branch is the canonical packet (0, 0, ½, 0) evolved by
+(a_s, t): centred at a_s t²/2 with mean momentum a_s t, α = 1/(2(1+it)) and
+θ(t) = a_s²t³/3 - ½ arctan t.  Leaving the field at t₁ evolves each branch
+on with a = 0, coherences included.  Every term is taken about the branch's
+own centre, so none grows with a_s t only to cancel, and θ (1.5e10 rad at
+1e-2 s for silver) enters a value as one scalar factor e^{iθ}.
 """
 
 from __future__ import annotations
@@ -47,54 +51,42 @@ def branch_sign(branch: str) -> int:
 
 @dataclass(frozen=True)
 class GaussianBranch:
-    """One branch amplitude in scaled units: norm · exp(-(αx² + βx + γ)).
+    """One normalised branch in scaled units, centred on its own mean:
 
-    Re α > 0 always; norm carries the full normalization and global phase.
+        φ(x) = (2 Re α/π)^¼ e^{iθ} exp(-α(x - x̄)² + i p̄ (x - x̄)),
+
+    with x̄ = `center`, p̄ = `mean_momentum` and θ = `phase`, the phase at
+    x̄.  Re α > 0 always.
     """
 
-    norm: complex
+    center: float
+    mean_momentum: float
     alpha: complex
-    beta: complex
-    gamma: complex
+    phase: float
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.norm * np.exp(-(self.alpha * x**2 + self.beta * x + self.gamma))
-
-    @property
-    def center(self) -> float:
-        return -self.beta.real / (2.0 * self.alpha.real)
+        d = np.asarray(x, dtype=float) - self.center
+        norm = (2.0 * self.alpha.real / np.pi) ** 0.25 * np.exp(1j * self.phase)
+        return norm * np.exp(-self.alpha * d * d + 1j * self.mean_momentum * d)
 
     @property
     def variance(self) -> float:
         """Variance of |φ|² (scaled length²)."""
         return 1.0 / (4.0 * self.alpha.real)
 
-    @property
-    def mean_momentum(self) -> float:
-        return -(2.0 * self.alpha.imag * self.center + self.beta.imag)
-
-    def free_evolved(self, dt: float) -> "GaussianBranch":
-        """Propagate with the free kernel for scaled time dt > 0."""
-        lam = 1j / (2.0 * dt)
-        d = self.alpha - lam
+    def evolved(self, a: float, dt: float) -> "GaussianBranch":
+        """Propagate for scaled time dt under the uniform acceleration a."""
+        x, p, w = self.center, self.mean_momentum, 1.0 + 2j * self.alpha * dt
         return GaussianBranch(
-            norm=self.norm * np.sqrt(1.0 / (2j * np.pi * dt)) * np.sqrt(np.pi / d),
-            alpha=-lam * self.alpha / d,
-            beta=-lam * self.beta / d,
-            gamma=self.gamma - self.beta**2 / (4.0 * d),
+            center=x + p * dt + 0.5 * a * dt * dt,
+            mean_momentum=p + a * dt,
+            alpha=self.alpha / w,
+            phase=(self.phase + 0.5 * p * p * dt + a * p * dt * dt + a * x * dt
+                   + a * a * dt**3 / 3.0 - 0.5 * math.atan2(w.imag, w.real)),
         )
 
 
-def _in_field_branch(a_s: float, t: float) -> GaussianBranch:
-    """Closed-form in-field branch at scaled time t for acceleration a_s."""
-    denom = 1.0 + 1j * t
-    return GaussianBranch(
-        norm=np.pi**-0.25 / np.sqrt(denom),
-        alpha=1.0 / (2.0 * denom),
-        beta=a_s * t * (t - 2j) / (2.0 * denom),
-        gamma=a_s**2 * t**3 * (4j - t) / (24.0 * denom),
-    )
+_CANONICAL = GaussianBranch(center=0.0, mean_momentum=0.0, alpha=0.5 + 0j, phase=0.0)
 
 
 class DensityForm(NamedTuple):
@@ -166,12 +158,15 @@ class SpinorWavepacket:
         return DensityForm(c, g.center, a, log_c)
 
     def branch_overlap(self) -> complex:
-        """⟨φ₋|φ₊⟩ evaluated exactly from the stored exponents."""
+        """⟨φ₋|φ₊⟩ in closed form, taken about the midpoint of the two centres."""
         p, m = self.plus, self.minus
+        dx = p.center - m.center
         A = p.alpha + np.conj(m.alpha)
-        B = p.beta + np.conj(m.beta)
-        C = p.gamma + np.conj(m.gamma)
-        return p.norm * np.conj(m.norm) * np.sqrt(np.pi / A) * np.exp(B**2 / (4.0 * A) - C)
+        B = (p.alpha - np.conj(m.alpha)) * dx + 1j * (p.mean_momentum - m.mean_momentum)
+        C = (-0.25 * A * dx * dx - 0.5j * (p.mean_momentum + m.mean_momentum) * dx
+             + 1j * (p.phase - m.phase))
+        norm = (4.0 * p.alpha.real * m.alpha.real / np.pi**2) ** 0.25
+        return norm * np.sqrt(np.pi / A) * np.exp(B * B / (4.0 * A) + C)
 
 
 def evolve_in_field(params: PhysicalParams, t: float) -> SpinorWavepacket:
@@ -186,8 +181,8 @@ def evolve_in_field(params: PhysicalParams, t: float) -> SpinorWavepacket:
         units=units,
         t=t,
         t_exit=t,
-        plus=_in_field_branch(+a, ts),
-        minus=_in_field_branch(-a, ts),
+        plus=_CANONICAL.evolved(+a, ts),
+        minus=_CANONICAL.evolved(-a, ts),
     )
 
 
@@ -198,14 +193,12 @@ def evolve_free_after_field(params: PhysicalParams, t1: float, t: float) -> Spin
     if not (t1 <= t < math.inf):
         raise ValueError(f"time must be finite and not precede field exit {t1}, got {t}")
     state = evolve_in_field(params, t1)
-    if t == t1:
-        return state
     dts = state.units.scale_time(t - t1)
     return SpinorWavepacket(
         params=params,
         units=state.units,
         t=t,
         t_exit=t1,
-        plus=state.plus.free_evolved(dts),
-        minus=state.minus.free_evolved(dts),
+        plus=state.plus.evolved(0.0, dts),
+        minus=state.minus.evolved(0.0, dts),
     )

@@ -8,9 +8,10 @@ and the Wigner matrix
 
     W_αβ(q,p) = (1/2πħ) ∫ ρ_αβ(q+y/2, q-y/2) e^{-ipy/ħ} dy.
 
-Every branch is a normalised Gaussian of one shared width; in scaled units
-it is c_s (2a/π)^¼ exp(-α(x-x_s)² + i p_s(x-x_s) + iθ_s), α = a + ib.  So
-the y-integral closes on one centred phase-space Gaussian per block,
+Every branch is a normalised Gaussian of one shared width, stored by
+dynamics as (x_s, p_s, α, θ_s): in scaled units it is
+c_s (2a/π)^¼ exp(-α(x-x_s)² + i p_s(x-x_s) + iθ_s), α = a + ib.  So the
+y-integral closes on one centred phase-space Gaussian per block,
 
     W_so(z) = (A/π)·exp(-(z-z̄)ᵀG(z-z̄) + i k₀·(z-z̄)),   z = (q, p),
 
@@ -20,8 +21,8 @@ A = c_s c_o* e^{i(θ_s - θ_o - Δx p̄)}, Δ taken as s - o (Littlejohn, Phys.
 Rep. 138, 193 (1986)).  A diagonal block has k₀ = 0 and A = |c_s|²; the
 cross block is the Gaussian at the midpoint times a plane wave whose
 position wavenumber 2mat/ħ sets the fringe spacing scale d = ħ/(2Ft).
-Every term is taken about the block's own centre and |A| from the
-normalisation, so no term grows with Ft only to cancel.
+Every term is read off the branches about the block's own centre and |A|
+comes from the normalisation, so no term grows with Ft only to cancel.
 
 Coarse graining averages each entry over a Δ×δ phase-space pixel.  The
 q-side integral of envelope × oscillation is done with the damped-erf window
@@ -115,24 +116,19 @@ class _BlockForm:
 def _block_form(state: SpinorWavepacket, pair: str) -> _BlockForm:
     """Close the Wigner y-integral for one spin pair of an equal-width state.
 
-    The block is the module docstring's centred Gaussian.  Only the phase
-    θ_s = arg φ_s(x_s) is read from each branch's norm and exponent: |A| is
-    |c_s c_o| because the evolution keeps each branch normalised.
+    The block is the module docstring's centred Gaussian, read off the two
+    branches' (x_s, p_s, α, θ_s); |A| is |c_s c_o| because the evolution
+    keeps each branch normalised.
     """
     bs, bo = state.branch(pair[0]), state.branch(pair[1])
     if abs(bs.alpha - bo.alpha) > 1e-10 * abs(bs.alpha):
         raise ValueError("unequal branch widths: no equal-width Wigner form")
     a, b = bs.alpha.real, bs.alpha.imag
-
-    def centre(g):  # x_s, p_s and θ_s
-        x = g.center
-        return x, g.mean_momentum, np.angle(g.norm) - (g.alpha * x * x + g.beta * x + g.gamma).imag
-
-    (xs, ps, ts), (xo, po, to) = centre(bs), centre(bo)
+    xs, ps, xo, po = bs.center, bs.mean_momentum, bo.center, bo.mean_momentum
     p0 = 0.5 * (ps + po)
     amp = state.params.weight(pair[0]) * np.conj(state.params.weight(pair[1]))
     return _BlockForm(
-        amp=complex(amp * np.exp(1j * (ts - to - (xs - xo) * p0))),
+        amp=complex(amp * np.exp(1j * (bs.phase - bo.phase - (xs - xo) * p0))),
         q0=0.5 * (xs + xo), p0=p0,
         gqq=2.0 * a + 2.0 * b * b / a, gqp=b / a, gpp=0.5 / a,
         kq=ps - po, kp=xo - xs,

@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import sgcoarse as sg
+from sgcoarse.dynamics import GaussianBranch
 
 
 def test_initial_packet_is_canonical(state_t0, silver):
@@ -62,6 +64,67 @@ def test_kernel_propagates_the_closed_form(silver, scales):
     got = np.trapezoid(kern * psi0[None, :], xi, axis=1)
     want = target.amplitude("+", xs, weighted=False)
     assert float(np.max(np.abs(got - want)) / np.max(np.abs(want))) < 1e-9
+
+
+@pytest.mark.parametrize("drift", [0.05, 0.2])
+def test_free_kernel_propagates_the_post_field_branches(silver, scales, drift):
+    # after exit at 2e-5 s, the free kernel applied to the exit amplitudes
+    # must land on the branches evolve_free_after_field carries on with a = 0
+    t1, dt = 2.0e-5, drift * scales.tau2
+    exit_state = sg.evolve_in_field(silver, t1)
+    target = sg.evolve_free_after_field(silver, t1, t1 + dt)
+    for branch in "+-":
+        w0 = math.sqrt(exit_state.variance(branch))
+        xi = exit_state.center(branch) + np.linspace(-12 * w0, 12 * w0, 10001)
+        psi0 = exit_state.amplitude(branch, xi, weighted=False)
+        xs = target.center(branch) + np.array([-1.0, -0.3, 0.2, 0.9]) * math.sqrt(
+            target.variance(branch))
+        kern = _uniform_force_kernel(silver, 0.0, xs[:, None], xi[None, :], dt)
+        got = np.trapezoid(kern * psi0[None, :], xi, axis=1)
+        want = target.amplitude(branch, xs, weighted=False)
+        peak = abs(target.amplitude(branch, target.center(branch), weighted=False))
+        assert float(np.max(np.abs(got - want))) < 1e-11 * peak
+
+
+@pytest.mark.parametrize("a", [0.0, -3.0, 1.5e4])
+def test_evolution_composes(a):
+    # two steps of the one propagation rule equal one step of their sum
+    starts = (GaussianBranch(0.0, 0.0, 0.5 + 0j, 0.0), GaussianBranch(0.4, -1.3, 0.3 - 0.2j, 2.0))
+    for start in starts:
+        for t1, t2 in ((0.3, 0.7), (1.25, 2.5), (0.01, 5.9), (2.0, 0.125)):
+            two = start.evolved(a, t1).evolved(a, t2)
+            one = start.evolved(a, t1 + t2)
+            for name in ("center", "mean_momentum", "alpha"):
+                assert getattr(two, name) == pytest.approx(getattr(one, name), rel=1e-15, abs=0)
+            assert abs(two.phase - one.phase) <= 4 * np.spacing(abs(one.phase))
+
+
+def _mpmath_in_field(a_s, t, x):
+    """40-digit in-field branch at scaled (a_s, t, x):
+    π^(-1/4) (1+it)^(-1/2) exp{-[12x² + a_s²t³(4i - t) + 12 a_s x t (t - 2i)] / [24(1+it)]}."""
+    t, a_s, x = mpmath.mpf(t), mpmath.mpf(a_s), mpmath.mpf(x)
+    d = 1 + 1j * t
+    return (mpmath.pi ** mpmath.mpf(-0.25) / mpmath.sqrt(d) * mpmath.exp(
+        -(12 * x**2 + a_s**2 * t**3 * (4j - t) + 12 * a_s * x * t * (t - 2j)) / (24 * d)))
+
+
+@pytest.mark.parametrize("t", [1e-6, 3e-5, 1e-4, 1e-3, 1e-2])
+def test_branch_values_keep_their_digits_at_long_times(silver, t):
+    # |φ|² relative and the phase relative to φ(x̄), at x̄ and x̄ ± 1.5 widths;
+    # the |φ|² floor from 1e-3 s on is the rounding of x̄ itself
+    state = sg.evolve_in_field(silver, t)
+    ts, a = state.units.scale_time(t), state.units.scale_accel(silver.accel)
+    for branch, a_s in (("+", a), ("-", -a)):
+        g = state.branch(branch)
+        xs = g.center + math.sqrt(g.variance) * np.array([-1.5, 0.0, 1.5])
+        got = g.value(xs)
+        with mpmath.workdps(40):
+            want = [_mpmath_in_field(a_s, ts, x) for x in xs]
+            for gv, wv in zip(got, want):
+                dens = abs(wv) ** 2
+                assert float(abs(abs(gv) ** 2 - dens) / dens) < 1e-11
+                rel = (mpmath.mpc(gv) / mpmath.mpc(got[1])) / (wv / want[1])
+                assert abs(float(mpmath.arg(rel))) < 1e-10
 
 
 def test_exit_handoff_is_continuous(silver):
