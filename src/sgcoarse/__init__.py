@@ -29,7 +29,6 @@ from .dynamics import (
 )
 from .information import (
     LN2,
-    CoverageError,
     EntanglementSeries,
     ScreenDistribution,
     entanglement_entropy,
@@ -91,7 +90,6 @@ __all__ = [
     "evolve_free_after_field",
     "evolve_in_field",
     "LN2",
-    "CoverageError",
     "EntanglementSeries",
     "ScreenDistribution",
     "entanglement_entropy",

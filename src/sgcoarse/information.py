@@ -29,23 +29,9 @@ from .numerics import gauss_window, real_quad
 
 LN2 = math.log(2.0)
 
-# screen extent must capture at least this much probability
-_COVERAGE_FLOOR = 1.0 - 1e-8
-
-# half-width of integration windows in units of the branch std deviation
+# the screen and the fine-limit integral reach _TAIL_SIGMAS/√a past each
+# branch centre, which is 12√2 standard deviations of the density
 _TAIL_SIGMAS = 12.0
-
-
-class CoverageError(ValueError):
-    """Raised when the screen extent misses too much probability mass."""
-
-    def __init__(self, captured: float, required: float = _COVERAGE_FLOOR):
-        self.captured = float(captured)
-        self.required = float(required)
-        super().__init__(
-            f"screen captures {self.captured:.12g} of the probability mass, "
-            f"needs at least {self.required:.12g}; widen the extent"
-        )
 
 
 def entropy_from_overlap(A):
@@ -126,15 +112,20 @@ def reduced_spin_density(state: SpinorWavepacket) -> np.ndarray:
     )
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-Tr rho ln rho in nats for a Hermitian density matrix."""
+def _entropy(probs):
+    """-Σ w ln w in nats over the probabilities w in `probs`, 0 ln 0 = 0;
+    each w may be a scalar or an array, and the sum runs elementwise."""
     from scipy.special import xlogy
 
+    return -sum(xlogy(w, w) for w in probs)
+
+
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """-Tr rho ln rho in nats for a Hermitian density matrix."""
     lam = np.linalg.eigvalsh(np.asarray(rho))
     if lam.min() < -1e-10 or abs(lam.sum() - 1.0) > 1e-8:
         raise ValueError(f"not a density spectrum: {lam}")
-    lam = np.clip(lam, 0.0, None)
-    return float(-np.sum(xlogy(lam, lam)))
+    return float(_entropy(np.clip(lam, 0.0, None)))
 
 
 @dataclass(frozen=True)
@@ -175,11 +166,23 @@ def _prior_entropy(params: PhysicalParams) -> float:
     return entropy_from_overlap(_weight_contrast(params))
 
 
-def _pixel_grid(extent, Delta: float, alignment: str) -> np.ndarray:
-    """Pixel centers tiling [extent[0], extent[1]] with width Delta."""
-    lo, hi = float(extent[0]), float(extent[1])
-    if not hi > lo:
-        raise ValueError("extent must be an increasing (lo, hi) pair")
+def _support(forms) -> tuple[float, float]:
+    """(lo, hi) on the scaled axis, _TAIL_SIGMAS/√a past each branch centre."""
+    return (min(f.mu - _TAIL_SIGMAS / math.sqrt(f.a) for f in forms),
+            max(f.mu + _TAIL_SIGMAS / math.sqrt(f.a) for f in forms))
+
+
+def _posterior_plus(forms, x):
+    """P(+|x), the stable logistic of the exact log-density ratio; it stays
+    exact where both branch densities underflow."""
+    fp, fm = forms
+    dl = (fp.log_C - fp.a * (x - fp.mu) ** 2) - (fm.log_C - fm.a * (x - fm.mu) ** 2)
+    e = np.exp(-np.abs(dl))
+    return np.where(dl >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def _pixel_grid(lo: float, hi: float, Delta: float, alignment: str) -> np.ndarray:
+    """Pixel centers tiling [lo, hi] with width Delta."""
     if alignment == "center":
         # a pixel centered exactly at X = 0
         k_lo = math.floor((lo + 0.5 * Delta) / Delta)
@@ -195,68 +198,33 @@ def _pixel_grid(extent, Delta: float, alignment: str) -> np.ndarray:
 
 
 def screen_distribution(
-    state: SpinorWavepacket,
-    Delta: float,
-    extent=None,
-    *,
-    alignment: str = "center",
+    state: SpinorWavepacket, Delta: float, *, alignment: str = "center"
 ) -> ScreenDistribution:
     """Detection probabilities per pixel and the information they carry.
 
-    ``Delta`` is the pixel width in meters.  ``extent`` is an (x_lo, x_hi)
-    window in meters; by default it is grown to hold essentially all of
-    the probability.  The pixel masses are exact error-function integrals
-    of each Gaussian branch.  Raises CoverageError if the extent misses
-    more than 1e-8 of the total mass.
+    ``Delta`` is the pixel width in meters.  The screen spans both branches
+    out to the tails mean_information integrates over, so ``captured`` is 1
+    up to roundoff.  The pixel masses are exact error-function integrals of
+    each Gaussian branch; where both underflow, the spin posterior comes
+    from the exact log-density ratio at the pixel center.
 
     alignment='center' puts one pixel center at X = 0 (so a symmetric
     state gives I(0) = 0); alignment='edge' puts pixel boundaries on
     multiples of the width, so integer coarsenings nest.
     """
-    from scipy.special import xlogy
-
     Delta = float(Delta)
     if not (0.0 < Delta < math.inf):
         raise ValueError(f"pixel width must be positive and finite, got {Delta}")
     u = state.units
     dh = u.scale_length(Delta)
-
-    forms = {b: state.density_form(b) for b in "+-"}
-    if extent is None:
-        lo = min(f.mu - _TAIL_SIGMAS / math.sqrt(f.a) for f in forms.values())
-        hi = max(f.mu + _TAIL_SIGMAS / math.sqrt(f.a) for f in forms.values())
-    else:
-        lo, hi = u.scale_length(float(extent[0])), u.scale_length(float(extent[1]))
-
-    Xh = _pixel_grid((lo, hi), dh, alignment)
-    edges_lo, edges_hi = Xh - 0.5 * dh, Xh + 0.5 * dh
-
-    mass = {}
-    for b, f in forms.items():
-        mass[b] = f.C * gauss_window(edges_lo, edges_hi, f.mu, f.a)
-    p_plus, p_minus = mass["+"], mass["-"]
-
-    captured = float(np.sum(p_plus + p_minus))
-    if captured < _COVERAGE_FLOOR:
-        raise CoverageError(captured)
-
-    # conditional spin probabilities; far tails fall back to the exact
-    # log-density ratio at the pixel center so 0/0 never appears
+    forms = [state.density_form(b) for b in "+-"]
+    Xh = _pixel_grid(*_support(forms), dh, alignment)
+    p_plus, p_minus = (f.C * gauss_window(Xh - 0.5 * dh, Xh + 0.5 * dh, f.mu, f.a)
+                       for f in forms)
     tot = p_plus + p_minus
-    safe = tot > 1e-300
-    lp, lm = (f.log_C - f.a * (Xh - f.mu) ** 2 for f in forms.values())
-    with np.errstate(divide="ignore", over="ignore"):
-        q_plus = np.where(
-            safe,
-            np.divide(p_plus, tot, out=np.zeros_like(tot), where=safe),
-            1.0 / (1.0 + np.exp(lm - lp)),
-        )
-    q_plus = np.clip(q_plus, 0.0, 1.0)
+    q_plus = np.divide(p_plus, tot, out=_posterior_plus(forms, Xh), where=tot > 1e-300)
     q_minus = 1.0 - q_plus
-
-    S = -(xlogy(q_plus, q_plus) + xlogy(q_minus, q_minus))
-    I = _prior_entropy(state.params) - S
-
+    S = _entropy((q_plus, q_minus))
     return ScreenDistribution(
         X=u.unscale_length(Xh),
         Delta=Delta,
@@ -265,8 +233,8 @@ def screen_distribution(
         q_plus=q_plus,
         q_minus=q_minus,
         S=S,
-        I=I,
-        captured=captured,
+        I=_prior_entropy(state.params) - S,
+        captured=float(np.sum(tot)),
     )
 
 
@@ -279,27 +247,19 @@ def mean_information(state: SpinorWavepacket) -> float:
     dimensionful logs cancel exactly), clipped to [0, H_prior].  For a
     screen of finite pixels use screen_distribution(...).mean_information().
     """
-    from scipy.special import xlogy
-
     prior = _prior_entropy(state.params)
-    (Cp, mup, arp, lCp) = state.density_form("+")
-    (Cm, mum, arm, lCm) = state.density_form("-")
-    lo = min(mup - _TAIL_SIGMAS / math.sqrt(arp), mum - _TAIL_SIGMAS / math.sqrt(arm))
-    hi = max(mup + _TAIL_SIGMAS / math.sqrt(arp), mum + _TAIL_SIGMAS / math.sqrt(arm))
+    forms = [state.density_form(b) for b in "+-"]
+    (Cp, mup, arp, _), (Cm, mum, arm, _) = forms
 
     def integrand(x):
         pp = Cp * np.exp(-arp * (x - mup) ** 2)
         pm = Cm * np.exp(-arm * (x - mum) ** 2)
-        # log-ratio is exact even where the densities underflow
-        dl = (lCp - arp * (x - mup) ** 2) - (lCm - arm * (x - mum) ** 2)
-        e = np.exp(-np.abs(dl))
-        w_plus = np.where(dl >= 0.0, 1.0, e) / (1.0 + e)
-        w_minus = 1.0 - w_plus
-        s = -(xlogy(w_plus, w_plus) + xlogy(w_minus, w_minus))
-        return (pp + pm) * (prior - s)
+        w_plus = _posterior_plus(forms, x)
+        return (pp + pm) * (prior - _entropy((w_plus, 1.0 - w_plus)))
 
     # panels one standard deviation of the narrower branch density wide
-    val = real_quad(integrand, lo, hi, 1.0 / math.sqrt(2.0 * max(arp, arm)), points=(mup, mum))
+    val = real_quad(integrand, *_support(forms), 1.0 / math.sqrt(2.0 * max(arp, arm)),
+                    points=(mup, mum))
     return float(min(max(val, 0.0), prior))
 
 

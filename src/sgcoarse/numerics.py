@@ -61,13 +61,20 @@ def osc_gauss_window(a, b, alpha: float, k: float) -> np.ndarray:
 
 
 def gauss_window(a, b, mu, alpha: float) -> np.ndarray:
-    """∫_a^b exp(-α (u-μ)²) du for real α > 0 and real μ."""
-    from scipy.special import erf
+    """∫_a^b exp(-α (u-μ)²) du for real α > 0 and real μ.
+
+    A window wholly in one tail takes the erfc difference of that tail, so
+    its mass keeps its relative digits where erf(hi) - erf(lo) cancels.
+    """
+    from scipy.special import erf, erfc
 
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     ra = np.sqrt(alpha)
-    return (np.sqrt(np.pi) / (2.0 * ra)) * (erf((b - mu) * ra) - erf((a - mu) * ra))
+    lo, hi = (a - mu) * ra, (b - mu) * ra
+    diff = np.where(lo > 0.0, erfc(lo) - erfc(hi),
+                    np.where(hi < 0.0, erfc(-hi) - erfc(-lo), erf(hi) - erf(lo)))
+    return (np.sqrt(np.pi) / (2.0 * ra)) * diff
 
 
 def real_quad(f, a: float, b: float, panel: float, points=()) -> float:

@@ -45,6 +45,7 @@ from .numerics import gauss_legendre_nodes, gauss_window, osc_gauss_window
 DEFAULT_PIXEL_DELTA_M = 1e-6
 DEFAULT_CELL_RATIO = 100.0
 _SUPPORT_SIGMAS = 12.0  # Gaussian reach kept in window intersections
+_MAX_PANELS = 64  # cap on a pixel's momentum panels; past it coarse_grain warns
 _RHO_PAD_WIDTHS = 14.0  # packet widths the rho grid reaches past the q axis
 _FRINGE_PERIODS = 6.0  # fringe periods spanned by measure_oscillation_scale
 _FRINGE_SAMPLES = 8192
@@ -479,7 +480,12 @@ def _box_average_form(
     panel = 2.0 * math.sqrt(gqq)
     if kappa != 0.0:
         panel = min(panel, 8.0 / abs(kappa))
-    n_panels = min(max(1, math.ceil(span / panel)), 64)
+    needed = max(1, math.ceil(span / panel))
+    n_panels = min(needed, _MAX_PANELS)
+    if needed > n_panels:
+        warnings.warn(
+            f"coarse grain under-resolved: a pixel's momentum phase needs {needed} "
+            f"Gauss-Legendre panels, {n_panels} are used", RuntimeWarning, stacklevel=3)
     xg, wg = gauss_legendre_nodes(0.0, 1.0, 12)
     offsets = [(k + xk) / n_panels for k in range(n_panels) for xk in xg]
     weights = [wk / n_panels for _ in range(n_panels) for wk in wg]

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -135,13 +136,56 @@ def test_screen_tails_identify_the_branch(state_late):
     assert abs(screen.I[-1] - sg.LN2) <= 1e-9
 
 
-def test_screen_coverage_guard(state_late, silver):
-    with pytest.raises(sg.CoverageError) as info:
-        sg.screen_distribution(state_late, silver.sigma, extent=(-1.0e-6, -0.5e-6))
-    assert 0.0 <= info.value.captured < 0.5
-    assert info.value.required == pytest.approx(1.0 - 1e-8)
-    with pytest.raises(ValueError):
-        sg.screen_distribution(state_late, silver.sigma, extent=(1e-6, -1e-6))
+def _mpmath_screen(state, screen):
+    """30-digit (P+, P-, q+, I) per pixel, each pixel mass the erfc
+    difference of the tail it lies in, so no mass cancels."""
+    u = state.units
+    forms = [state.density_form(b) for b in "+-"]
+    half = 0.5 * u.scale_length(screen.Delta)
+    rows = []
+    with mpmath.workdps(30):
+        for x in u.scale_length(screen.X):
+            mass = []
+            for f in forms:
+                ra = mpmath.sqrt(f.a)
+                lo, hi = (mpmath.mpf(x - half) - f.mu) * ra, (mpmath.mpf(x + half) - f.mu) * ra
+                if lo > 0:
+                    d = mpmath.erfc(lo) - mpmath.erfc(hi)
+                elif hi < 0:
+                    d = mpmath.erfc(-hi) - mpmath.erfc(-lo)
+                else:
+                    d = mpmath.erf(hi) - mpmath.erf(lo)
+                mass.append(f.C * mpmath.sqrt(mpmath.pi) / (2 * ra) * d)
+            q = [m / (mass[0] + mass[1]) for m in mass]
+            rows.append((*mass, q[0], mpmath.log(2) + sum(v * mpmath.log(v) for v in q)))
+    return [np.array([float(r[k]) for r in rows]) for k in range(4)]
+
+
+@pytest.mark.parametrize("t, width", [(1e-6, 0.25), (1e-5, 0.25), (1e-5, 1.0), (2e-5, 0.5),
+                                      (3e-5, 0.25)])
+def test_screen_tail_pixels_keep_their_digits(silver, t, width):
+    # about half of each screen lies a few widths out in one branch's tail,
+    # where erf(hi) - erf(lo) cancels to 0 although the masses are 1e-18 to
+    # 1e-120; the erfc difference of that tail keeps them
+    state = sg.evolve_in_field(silver, t)
+    screen = sg.screen_distribution(state, width * silver.sigma)
+    p_plus, p_minus, q_plus, info = _mpmath_screen(state, screen)
+    assert np.all(p_plus > 0.0) and np.all(p_minus > 0.0)
+    assert float(np.max(np.abs(screen.P_plus / p_plus - 1.0))) <= 1e-12
+    assert float(np.max(np.abs(screen.P_minus / p_minus - 1.0))) <= 1e-12
+    assert float(np.max(np.abs(screen.q_plus - q_plus))) <= 1e-13
+    assert float(np.max(np.abs(screen.I - info))) <= 1e-13
+
+
+def test_screen_far_gap_takes_the_posterior_from_the_log_ratio(silver):
+    # at 2e-4 s the branches are about 200 widths apart, so both pixel
+    # masses underflow across the gap and only the log-density ratio is left
+    state = sg.evolve_in_field(silver, 2e-4)
+    screen = sg.screen_distribution(state, silver.sigma)
+    assert np.sum((screen.P_plus == 0.0) & (screen.P_minus == 0.0)) > screen.X.size // 2
+    assert np.all(np.diff(screen.q_plus) >= 0.0)
+    assert np.all((screen.I >= 0.0) & (screen.I <= sg.LN2))
+    assert abs(screen.mean_information() - sg.LN2) <= 1e-12
 
 
 def test_mean_information_starts_at_zero(state_t0):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -18,6 +19,7 @@ from sgcoarse import cli
 from sgcoarse.numerics import gauss_legendre_nodes, osc_gauss_window
 from sgcoarse.phase_space import (
     _LAG_BLOCK,
+    _MAX_PANELS,
     _SUPPORT_SIGMAS,
     _Y_CHUNK,
     SPIN_PAIRS,
@@ -803,3 +805,79 @@ def test_box_average_with_no_live_or_all_live_cells(silver):
             want = _reference_box_average_form(form, qh, ph, hu, hv)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert np.all(got != 0) if all_live else not np.any(got)
+
+
+@pytest.mark.parametrize("t, needed", [(3e-5, None), (1e-4, 156)])
+def test_coarse_grain_warns_when_its_panel_cap_binds(silver, t, needed):
+    # the cross block's momentum phase needs 14 panels per pixel at 3e-5 s
+    # and 156 at 1e-4 s; past the cap of 64 the average is under-resolved
+    q, p = sg.default_phase_space_grid(silver, t, n_q=32, n_p=32)
+    fine = sg.wigner_field(sg.evolve_in_field(silver, t), q, p)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sg.coarse_grain(fine, sg.CoarsePixelSpec.default())
+    messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+    if needed is None:
+        assert messages == []
+    else:
+        assert len(messages) == 1
+        assert "under-resolved" in messages[0] and f"needs {needed} " in messages[0]
+        assert f"{_MAX_PANELS} are used" in messages[0]
+
+
+def _mpmath_box_average(form, q, p, hu, hv):
+    """30-digit average of one block over [q±hu]×[p±hv], scaled units.
+
+    For each momentum offset v = p' - p0 the position integral of
+    exp(-gqq x² + βx), β = i kq - 2 gqp v, closes on mpmath's complex erf;
+    mpmath.quad takes the v-integral over the window's overlap with nine
+    Gaussian widths of the centre, past which the integrand is below 1e-35.
+    """
+    with mpmath.workdps(30):
+        g, gqp, gpp, kq, kp = (mpmath.mpf(v) for v in (form.gqq, form.gqp, form.gpp,
+                                                        form.kq, form.kp))
+        lo_x = mpmath.mpf(q) - form.q0 - hu
+        hi_x = lo_x + 2 * mpmath.mpf(hu)
+        rg = mpmath.sqrt(g)
+
+        def along_p(v):
+            beta = 1j * kq - 2 * gqp * v
+            c = beta / (2 * g)
+            inner = (mpmath.sqrt(mpmath.pi / g) / 2 * mpmath.exp(beta**2 / (4 * g))
+                     * (mpmath.erf(rg * (hi_x - c)) - mpmath.erf(rg * (lo_x - c))))
+            return mpmath.exp(-gpp * v * v + 1j * kp * v) * inner
+
+        pc = mpmath.mpf(p) - form.p0
+        lo_v, hi_v = max(pc - hv, -9), min(pc + hv, 9)
+        n = int(mpmath.ceil((hi_v - lo_v) / 2))
+        pieces = [lo_v + (hi_v - lo_v) * k / n for k in range(n + 1)]
+        val = mpmath.quad(along_p, pieces, method="gauss-legendre")
+        return complex(mpmath.mpc(form.amp) / mpmath.pi * val / (4 * mpmath.mpf(hu) * hv))
+
+
+# worst |W̄ - mpmath| over the cells below, relative to the block's
+# pixel-average peak; measured worst 3.0e-12, the +- block at 3e-5 s
+_TOL_BOX_POINT = 1e-11
+
+
+@pytest.mark.parametrize("t", [1e-6, 3e-5])
+@pytest.mark.parametrize("pair", ["++", "+-"])
+def test_box_average_matches_mpmath_at_points(silver, t, pair):
+    state = sg.evolve_in_field(silver, t)
+    _, _, hu, hv = _scaled_coarse_inputs(state, np.zeros(1), np.zeros(1))
+    form = _block_form(state, pair)
+    # the centre, a cell off it in both axes, and one whose window stops
+    # 1.5 momentum widths short of the centre, 4 position widths out
+    cells = [(0.0, 0.0), (0.7, 150.0), (4.0, -hv - 1.5)]
+    qs = np.array([form.q0 + dq for dq, _ in cells])
+    ps = np.array([form.p0 + dp for _, dp in cells])
+    got = _box_average_form(form, qs, ps, hu, hv)
+    # the peak sits at the centre or, for a suppressed cross block, where a
+    # window edge cuts through the centre
+    near = np.linspace(-3.0, 3.0, 25)
+    grid_q = (form.q0 + np.linspace(-2.0, 2.0, 21)).reshape(-1, 1)
+    grid_p = (form.p0 + np.concatenate([near - hv, near, near + hv])).reshape(1, -1)
+    peak = float(np.max(np.abs(_box_average_form(form, grid_q, grid_p, hu, hv))))
+    for value, q, p in zip(got, qs, ps):
+        want = _mpmath_box_average(form, q, p, hu, hv)
+        assert abs(value - want) <= _TOL_BOX_POINT * peak
