@@ -26,6 +26,10 @@ The in-field branch is the canonical packet (0, 0, ½, 0) evolved by
 on with a = 0, coherences included.  Every term is taken about the branch's
 own centre, so none grows with a_s t only to cancel, and θ (1.5e10 rad at
 1e-2 s for silver) enters a value as one scalar factor e^{iθ}.
+
+Each Wigner block of two branches of one width is a `PhaseSpaceGaussian`,
+built by `SpinorWavepacket.block_form`: the cross block's integral is the
+branch overlap and a diagonal block's q-marginal the branch density.
 """
 
 from __future__ import annotations
@@ -84,6 +88,54 @@ class GaussianBranch:
             phase=(self.phase + 0.5 * p * p * dt + a * p * dt * dt + a * x * dt
                    + a * a * dt**3 / 3.0 - 0.5 * math.atan2(w.imag, w.real)),
         )
+
+
+@dataclass(frozen=True)
+class PhaseSpaceGaussian:
+    """W(z) = amp·N(z; z̄, Σ)·exp(i k₀·(z - z̄)) in phase space z = (q, p),
+    scaled units (ħ = 1), with z̄ = (q0, p0), k₀ = (kq, kp) and
+    Σ = [[sqq, sqp], [sqp, spp]] any positive-definite covariance.  A pure
+    branch pair's block has det Σ = ¼; a mixed or smoothed one has more.
+    """
+
+    amp: complex
+    q0: float
+    p0: float
+    sqq: float
+    sqp: float
+    spp: float
+    kq: float
+    kp: float
+
+    @property
+    def det(self) -> float:
+        return self.sqq * self.spp - self.sqp * self.sqp
+
+    @property
+    def precision(self) -> tuple[float, float, float]:
+        """(gqq, gqp, gpp) of G = ½Σ⁻¹, so that W ∝ exp(-(z - z̄)ᵀG(z - z̄))."""
+        h = 0.5 / self.det
+        return self.spp * h, -self.sqp * h, self.sqq * h
+
+    def value(self, q, p):
+        gqq, gqp, gpp = self.precision
+        dq, dp = q - self.q0, p - self.p0
+        quad = gqq * dq**2 + 2.0 * gqp * dq * dp + gpp * dp**2
+        norm = self.amp / (2.0 * np.pi * math.sqrt(self.det))
+        return norm * np.exp(-quad + 1j * (self.kq * dq + self.kp * dp))
+
+    def integral(self) -> complex:
+        """∬W dq dp = amp·exp(-½ k₀ᵀΣk₀)."""
+        kq, kp = self.kq, self.kp
+        return self.amp * math.exp(
+            -0.5 * (self.sqq * kq * kq + 2.0 * self.sqp * kq * kp + self.spp * kp * kp))
+
+    def q_marginal(self) -> tuple[complex, float, float]:
+        """∫W dp = c·exp(-(q - q0)²/(2v) + i r (q - q0)), returned as (c, v, r):
+        v = Σqq, r = kq + kp·Σqp/Σqq and c = amp/√(2πΣqq)·exp(-½ kp² det Σ/Σqq)."""
+        v = self.sqq
+        c = self.amp / math.sqrt(2.0 * np.pi * v) * math.exp(-0.5 * self.kp**2 * self.det / v)
+        return c, v, self.kq + self.kp * self.sqp / v
 
 
 _CANONICAL = GaussianBranch(center=0.0, mean_momentum=0.0, alpha=0.5 + 0j, phase=0.0)
@@ -146,27 +198,37 @@ class SpinorWavepacket:
     def mean_momentum(self, branch: str) -> float:
         return self.units.unscale_momentum(self.branch(branch).mean_momentum)
 
-    def density_form(self, branch: str) -> DensityForm:
-        """Weighted branch density as one real Gaussian in scaled units.
-
-        C = |c|²·sqrt(a/π) is the normalisation that the evolution keeps.
+    def block_form(self, pair: str) -> PhaseSpaceGaussian:
+        """Wigner block of the bare branches φ_s, φ_o of the spin pair so, as
+        derived in the phase_space module docstring.  The weights c_s c_o*
+        are left to the Wigner matrix, so the cross block integrates to
+        ⟨φ_o|φ_s⟩ whatever they are, c₋ = 0 included.
         """
-        g = self.branch(branch)
-        a = 2.0 * g.alpha.real
-        c = abs(self.params.weight(branch)) ** 2 * math.sqrt(a / math.pi)
+        bs, bo = self.branch(pair[0]), self.branch(pair[1])
+        if abs(bs.alpha - bo.alpha) > 1e-10 * abs(bs.alpha):
+            raise ValueError("unequal branch widths: no equal-width Wigner form")
+        a, b = bs.alpha.real, bs.alpha.imag
+        xs, ps, xo, po = bs.center, bs.mean_momentum, bo.center, bo.mean_momentum
+        p0 = 0.5 * (ps + po)
+        return PhaseSpaceGaussian(
+            amp=complex(np.exp(1j * (bs.phase - bo.phase - (xs - xo) * p0))),
+            q0=0.5 * (xs + xo), p0=p0,
+            sqq=0.25 / a, sqp=-0.5 * b / a, spp=a + b * b / a,
+            kq=ps - po, kp=xo - xs,
+        )
+
+    def density_form(self, branch: str) -> DensityForm:
+        """Weighted branch density as one real Gaussian in scaled units: the
+        q-marginal of the diagonal block times |c|²."""
+        form = self.block_form(branch + branch)
+        c, v, _ = form.q_marginal()
+        c = abs(self.params.weight(branch)) ** 2 * c.real
         log_c = math.log(c) if c > 0.0 else -math.inf  # a pure spin state has c = 0
-        return DensityForm(c, g.center, a, log_c)
+        return DensityForm(c, form.q0, 0.5 / v, log_c)
 
     def branch_overlap(self) -> complex:
-        """⟨φ₋|φ₊⟩ in closed form, taken about the midpoint of the two centres."""
-        p, m = self.plus, self.minus
-        dx = p.center - m.center
-        A = p.alpha + np.conj(m.alpha)
-        B = (p.alpha - np.conj(m.alpha)) * dx + 1j * (p.mean_momentum - m.mean_momentum)
-        C = (-0.25 * A * dx * dx - 0.5j * (p.mean_momentum + m.mean_momentum) * dx
-             + 1j * (p.phase - m.phase))
-        norm = (4.0 * p.alpha.real * m.alpha.real / np.pi**2) ** 0.25
-        return norm * np.sqrt(np.pi / A) * np.exp(B * B / (4.0 * A) + C)
+        """⟨φ₋|φ₊⟩: the integral of the bare cross block."""
+        return self.block_form("+-").integral()
 
 
 def evolve_in_field(params: PhysicalParams, t: float) -> SpinorWavepacket:

@@ -13,15 +13,16 @@ dynamics as (x_s, p_s, α, θ_s): in scaled units it is
 c_s (2a/π)^¼ exp(-α(x-x_s)² + i p_s(x-x_s) + iθ_s), α = a + ib.  So the
 y-integral closes on one centred phase-space Gaussian per block,
 
-    W_so(z) = (A/π)·exp(-(z-z̄)ᵀG(z-z̄) + i k₀·(z-z̄)),   z = (q, p),
+    W_so(z) = c_s c_o*·amp·N(z; z̄, Σ)·exp(i k₀·(z-z̄)),   z = (q, p),
 
-with z̄ the midpoint of the two branch centres (x, p), the unit-determinant
-G = [[2a + 2b²/a, b/a], [b/a, 1/(2a)]], k₀ = (Δp, -Δx) and
-A = c_s c_o* e^{i(θ_s - θ_o - Δx p̄)}, Δ taken as s - o (Littlejohn, Phys.
-Rep. 138, 193 (1986)).  A diagonal block has k₀ = 0 and A = |c_s|²; the
+the `PhaseSpaceGaussian` of `SpinorWavepacket.block_form`: z̄ is the
+midpoint of the two branch centres (x, p), Σ = [[1/(4a), -b/(2a)],
+[-b/(2a), a + b²/a]] with det Σ = ¼, k₀ = (Δp, -Δx) and
+amp = e^{i(θ_s - θ_o - Δx p̄)}, Δ taken as s - o (Littlejohn, Phys.
+Rep. 138, 193 (1986)).  A diagonal block has k₀ = 0 and amp = 1; the
 cross block is the Gaussian at the midpoint times a plane wave whose
 position wavenumber 2mat/ħ sets the fringe spacing scale d = ħ/(2Ft).
-Every term is read off the branches about the block's own centre and |A|
+Every term is read off the branches about the block's own centre and |amp|
 comes from the normalisation, so no term grows with Ft only to cancel.
 
 Coarse graining averages each entry over a Δ×δ phase-space pixel.  The
@@ -34,12 +35,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import HBAR, PhysicalParams, ResolutionError, UnitSystem
-from .dynamics import SPIN_PAIRS, SpinorWavepacket
+from .dynamics import SPIN_PAIRS, PhaseSpaceGaussian, SpinorWavepacket
 from .numerics import gauss_legendre_nodes, gauss_window, osc_gauss_window
 
 DEFAULT_PIXEL_DELTA_M = 1e-6
@@ -90,50 +91,11 @@ def density_matrix(state: SpinorWavepacket, grid) -> DensityMatrixField:
 # closed-form Wigner blocks
 
 
-@dataclass(frozen=True)
-class _BlockForm:
-    """One Wigner block in scaled units, a phase-space Gaussian about its centre:
-
-        W(q,p) = (A/π)·exp(-zᵀGz + i k₀·z),   z = (q - q0, p - p0),
-
-    with G = [[gqq, gqp], [gqp, gpp]], det G = 1, and k₀ = (kq, kp).
-    """
-
-    amp: complex
-    q0: float
-    p0: float
-    gqq: float
-    gqp: float
-    gpp: float
-    kq: float
-    kp: float
-
-    def value(self, q, p):
-        dq, dp = q - self.q0, p - self.p0
-        quad = self.gqq * dq**2 + 2.0 * self.gqp * dq * dp + self.gpp * dp**2
-        return self.amp / np.pi * np.exp(-quad + 1j * (self.kq * dq + self.kp * dp))
-
-
-def _block_form(state: SpinorWavepacket, pair: str) -> _BlockForm:
-    """Close the Wigner y-integral for one spin pair of an equal-width state.
-
-    The block is the module docstring's centred Gaussian, read off the two
-    branches' (x_s, p_s, α, θ_s); |A| is |c_s c_o| because the evolution
-    keeps each branch normalised.
-    """
-    bs, bo = state.branch(pair[0]), state.branch(pair[1])
-    if abs(bs.alpha - bo.alpha) > 1e-10 * abs(bs.alpha):
-        raise ValueError("unequal branch widths: no equal-width Wigner form")
-    a, b = bs.alpha.real, bs.alpha.imag
-    xs, ps, xo, po = bs.center, bs.mean_momentum, bo.center, bo.mean_momentum
-    p0 = 0.5 * (ps + po)
-    amp = state.params.weight(pair[0]) * np.conj(state.params.weight(pair[1]))
-    return _BlockForm(
-        amp=complex(amp * np.exp(1j * (bs.phase - bo.phase - (xs - xo) * p0))),
-        q0=0.5 * (xs + xo), p0=p0,
-        gqq=2.0 * a + 2.0 * b * b / a, gqp=b / a, gpp=0.5 / a,
-        kq=ps - po, kp=xo - xs,
-    )
+def _wigner_block(state: SpinorWavepacket, pair: str) -> PhaseSpaceGaussian:
+    """The Wigner matrix's block for one spin pair: the bare block times c_s c_o*."""
+    form = state.block_form(pair)
+    weight = state.params.weight(pair[0]) * np.conj(state.params.weight(pair[1]))
+    return replace(form, amp=complex(weight * form.amp))
 
 
 def wigner_analytic(state: SpinorWavepacket, q, p) -> WignerMatrixField:
@@ -147,7 +109,7 @@ def wigner_analytic(state: SpinorWavepacket, q, p) -> WignerMatrixField:
     p = np.atleast_1d(np.asarray(p, dtype=float))
     qg = u.scale_length(q).reshape(-1, 1)
     pg = u.scale_momentum(p).reshape(1, -1)
-    w = {pair: u.unscale_wigner(_block_form(state, pair).value(qg, pg))
+    w = {pair: u.unscale_wigner(_wigner_block(state, pair).value(qg, pg))
          for pair in ("++", "--", "+-")}
     return WignerMatrixField(
         params=state.params, t=state.t, q=q, p=p,
@@ -402,12 +364,10 @@ class WignerMatrixField:
         """
         state = self._closed_form()
         u = state.units
-        f = _block_form(state, pair)
+        f = _wigner_block(state, pair)
+        c, v, rate = f.q_marginal()
         dq = np.asarray(u.scale_length(self.q), dtype=float) - f.q0
-        # ∫dp closes on the centred form; det G = 1 makes the q precision 1/gpp
-        val = f.amp / np.sqrt(np.pi * f.gpp) * np.exp(
-            -(dq**2 + 0.25 * f.kp**2) / f.gpp + 1j * (f.kq - f.kp * f.gqp / f.gpp) * dq)
-        return u.unscale_density(val)
+        return u.unscale_density(c * np.exp(-0.5 * dq**2 / v + 1j * rate * dq))
 
     def total(self) -> float:
         """∬ (W₊₊ + W₋₋) dq dp: exact in p, trapezoid over the q nodes."""
@@ -447,7 +407,7 @@ def wigner_field(state: SpinorWavepacket, q, p, method: str = "analytic") -> Wig
 
 
 def _box_average_form(
-    form: _BlockForm,
+    form: PhaseSpaceGaussian,
     qh: np.ndarray,
     ph: np.ndarray,
     hu: float,
@@ -455,18 +415,20 @@ def _box_average_form(
 ) -> np.ndarray:
     """Window average of the block over [q±hu]×[p±hv], scaled units.
 
-    With z = (Q, P) about the block's centre, the u-integral closes at
-    s = Q + (gqp/gqq)·P: it is exp(-P²/gqq + iκP)·J(s-hu, s+hu), where J
-    is the damped oscillatory erf window of ∫exp(-gqq w² + i kq w) dw and
-    κ = kp - kq·gqp/gqq (det G = 1 gives the 1/gqq).  The outer v-integral
-    is Gauss-Legendre on the overlap of the window with that Gaussian's
-    support.  Neither factor exceeds its peak, so a suppressed pixel
-    underflows to zero.  qh, ph broadcast against each other.
+    With z = (Q, P) about the block's centre and G = ½Σ⁻¹, the u-integral
+    closes at s = Q + shear·P, shear = G_qp/G_qq = -Σqp/Σpp: it is
+    exp(-P²/(2Σpp) + iκP)·J(s-hu, s+hu), where J is the damped oscillatory
+    erf window of ∫exp(-G_qq w² + i kq w) dw and κ = kp - kq·shear.  The
+    outer v-integral is Gauss-Legendre on the overlap of the window with
+    that Gaussian's support.  Neither factor exceeds its peak, so a
+    suppressed pixel underflows to zero.  qh, ph broadcast against each other.
     """
-    gqq, shear = form.gqq, form.gqp / form.gqq
+    gqq = form.precision[0]
+    env = 2.0 * form.spp  # the P-envelope is exp(-P²/env)
+    shear = -form.sqp / form.spp
     kappa = form.kp - form.kq * shear  # v-phase rate
     qc, pc = np.broadcast_arrays(qh - form.q0, ph - form.p0)
-    reach = _SUPPORT_SIGMAS * math.sqrt(gqq)
+    reach = _SUPPORT_SIGMAS * math.sqrt(env)
     lo = np.maximum(-hv, -pc - reach)
     hi = np.minimum(hv, -pc + reach)
     # Cells whose window misses the support are exactly zero; the node loop
@@ -475,9 +437,9 @@ def _box_average_form(
     qc, pc, lo, hi = qc[live], pc[live], lo[live], hi[live]
 
     # Composite Gauss-Legendre in v: panel width short enough to resolve
-    # both the Gaussian envelope (scale sqrt(gqq)) and the v-phase rate.
+    # both the Gaussian envelope (scale sqrt(env)) and the v-phase rate.
     span = min(2.0 * hv, 2.0 * reach)
-    panel = 2.0 * math.sqrt(gqq)
+    panel = 2.0 * math.sqrt(env)
     if kappa != 0.0:
         panel = min(panel, 8.0 / abs(kappa))
     needed = max(1, math.ceil(span / panel))
@@ -496,9 +458,9 @@ def _box_average_form(
         pv = pc + lo + width * xk
         s = qc + shear * pv
         j = osc_gauss_window(s - hu, s + hu, gqq, form.kq)
-        acc = acc + (wk * width) * np.exp(-pv * pv / gqq + 1j * kappa * pv) * j
+        acc = acc + (wk * width) * np.exp(-pv * pv / env + 1j * kappa * pv) * j
     out = np.zeros(live.shape, dtype=complex)
-    out[live] = form.amp / np.pi * acc / (4.0 * hu * hv)
+    out[live] = form.amp / (2.0 * np.pi * math.sqrt(form.det)) * acc / (4.0 * hu * hv)
     return out
 
 
@@ -517,7 +479,7 @@ def coarse_grain(field: WignerMatrixField, pix: CoarsePixelSpec) -> WignerMatrix
     hv = 0.5 * u.scale_momentum(pix.delta)
     blocks = {}
     for pair in ("++", "--", "+-"):
-        w = _box_average_form(_block_form(state, pair), qh, ph, hu, hv)
+        w = _box_average_form(_wigner_block(state, pair), qh, ph, hu, hv)
         blocks[pair] = u.unscale_wigner(w)
     return WignerMatrixField(
         params=field.params, t=field.t, q=field.q, p=field.p,
@@ -592,7 +554,9 @@ def coarse_position_density(
     state: SpinorWavepacket, q: np.ndarray, Delta: float, pair: str = "++"
 ) -> np.ndarray:
     """Δ-window average of |c_α φ_α|² at positions q (m): the reference curve
-    for the position marginal of a coarse-grained field."""
+    for the position marginal of a coarse-grained field; `pair` is '++' or '--'."""
+    if pair not in ("++", "--"):
+        raise ValueError(f"pair must be a diagonal pair '++' or '--', got {pair!r}")
     Delta = float(Delta)
     if not (0.0 < Delta < math.inf):
         raise ValueError(f"pixel width must be positive and finite, got {Delta}")

@@ -159,6 +159,44 @@ def test_branch_overlap_closed_form(silver, scales):
             math.exp(log_want), rel=1e-12)
 
 
+def _completed_overlap(state):
+    """<phi_-|phi_+> by completing the 1-D square about the midpoint of the
+    two centres: the closed form that the cross block's integral replaced."""
+    p, m = state.plus, state.minus
+    dx = p.center - m.center
+    A = p.alpha + np.conj(m.alpha)
+    B = (p.alpha - np.conj(m.alpha)) * dx + 1j * (p.mean_momentum - m.mean_momentum)
+    C = (-0.25 * A * dx * dx - 0.5j * (p.mean_momentum + m.mean_momentum) * dx
+         + 1j * (p.phase - m.phase))
+    norm = (4.0 * p.alpha.real * m.alpha.real / np.pi**2) ** 0.25
+    return norm * np.sqrt(np.pi / A) * np.exp(B * B / (4.0 * A) + C)
+
+
+@pytest.mark.parametrize("weights", [None, (0.6, 0.8)], ids=["equal", "0.6/0.8"])
+def test_overlap_is_the_completed_square(silver, scales, weights):
+    # the two closed forms agree to the roundoff of an exponent of size
+    # |ln|<phi_-|phi_+>||, up to 696 at 3e-6 s
+    params = silver if weights is None else sg.PhysicalParams.silver(
+        c_plus=complex(weights[0]), c_minus=complex(weights[1]))
+    states = [sg.evolve_in_field(params, t) for t in (1e-8, 1e-7, scales.tau3, 1e-6, 3e-6)]
+    states.append(sg.evolve_free_after_field(params, 2e-7, 5e-7))
+    for state in states:
+        got, want = state.branch_overlap(), _completed_overlap(state)
+        bound = 1e-15 * (1.0 + abs(math.log(abs(want))))
+        assert abs(got - want) <= bound * abs(want), (state.t, state.t_exit)
+
+
+@pytest.mark.parametrize("t", ["tau3", 1e-6])
+def test_pure_spin_state_keeps_the_bare_overlap(silver, scales, t):
+    # the overlap is the integral of the unweighted cross block, so c- = 0
+    # changes nothing in it and zeroes the spin coherence
+    t = scales.tau3 if t == "tau3" else t
+    up = sg.evolve_in_field(sg.PhysicalParams.silver(c_plus=1 + 0j, c_minus=0j), t)
+    equal = sg.evolve_in_field(silver, t)
+    assert up.branch_overlap() == pytest.approx(equal.branch_overlap(), rel=1e-15)
+    assert np.array_equal(sg.reduced_spin_density(up), np.diag([1.0, 0.0]))
+
+
 def test_overlap_is_real_at_the_start(state_t0):
     assert state_t0.branch_overlap() == pytest.approx(1.0 + 0.0j, abs=1e-14)
 
