@@ -52,7 +52,6 @@ _TOL_L2 = 1e-6
 _TOL_OVERLAP = 1e-9
 _TOL_NORM_DRIFT = 1e-12
 _TOL_ORDER = 0.5
-_COARSE_DT_FACTOR = 64.0
 _Q_BLOCK = 32  # q rows of the fine Wigner grid evaluated and written at a time
 
 
@@ -248,11 +247,10 @@ def _cmd_verify(out: str, params: PhysicalParams, s: dict) -> int:
     if not t_list:
         raise ValueError(f"t_list_s names no time: {s['t_list_s']!r}")
     n, half_width = s["n_grid"], s["half_width"]
-    factor = _COARSE_DT_FACTOR if s["coarse_dt"] else 1.0
 
     rows = []
     for t in t_list:
-        dt = default_dt(params, t) * factor
+        dt = default_dt(params, t)
         rows.extend(verify_closed_forms(params, [t], dt=dt, n=n, half_width=half_width).rows)
     _, orders = convergence_order(params, scales.tau3, n=n, half_width=half_width)
     # the order farthest from 2; np.argmax picks the first NaN, which fails the check
@@ -271,15 +269,12 @@ def _cmd_verify(out: str, params: PhysicalParams, s: dict) -> int:
 
     # each check is written so that a NaN fails it
     failures = []
-    report = OracleReport(params, n, half_width, tuple(rows))
+    report = OracleReport(n, tuple(rows))
     max_l2 = report.max_l2
     max_ov = report.max_overlap_dev
     max_nd = report.max_norm_drift
     if not (max_l2 <= _TOL_L2):
-        detail = f"max relative L2 error {max_l2:.3e} exceeds {_TOL_L2:g}"
-        if s["coarse_dt"]:
-            detail += f" (convergence warning: dt deliberately coarsened x{factor:g})"
-        failures.append(("closed_form_l2", detail))
+        failures.append(("closed_form_l2", f"max relative L2 error {max_l2:.3e} exceeds {_TOL_L2:g}"))
     if not (max_ov <= _TOL_OVERLAP):
         failures.append(("overlap", f"max overlap deviation {max_ov:.3e} exceeds {_TOL_OVERLAP:g}"))
     if not (max_nd <= _TOL_NORM_DRIFT):
@@ -370,8 +365,6 @@ _COMMANDS = {
         ("--t-list", "t_list_s", str, None, "comma-separated times in s"),
         ("--n", "n_grid", _count(16), 4096, "grid points (default 4096)"),
         ("--half-width", "half_width", _finite, 10.0),
-        ("--coarse-dt", "coarse_dt", _bool, False,
-         "deliberately coarsen dt to demonstrate the failure path"),
     )),
 }
 

@@ -103,9 +103,8 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class DerivedScales:
-    """The three timescales plus the signed acceleration they come from."""
+    """The three timescales of a run."""
 
-    a: float
     tau1: float
     tau2: float
     tau3: float
@@ -117,17 +116,16 @@ class DerivedScales:
 
 
 def derive_scales(params: PhysicalParams) -> DerivedScales:
-    """Compute (a, τ₁, τ₂, τ₃) from the run parameters.
+    """Compute (τ₁, τ₂, τ₃) from the run parameters.
 
     τ₁ uses |a| so that the sign of F never leaks into a timescale.
     """
     if params.force == 0.0:
         raise NoSeparationError("F = 0: no separation timescale exists")
-    a = params.accel
-    tau1 = math.sqrt(2.0 * params.sigma / abs(a))
+    tau1 = math.sqrt(2.0 * params.sigma / abs(params.accel))
     tau2 = params.mass * params.sigma**2 / params.hbar
     tau3 = tau1**2 / tau2
-    return DerivedScales(a=a, tau1=tau1, tau2=tau2, tau3=tau3)
+    return DerivedScales(tau1=tau1, tau2=tau2, tau3=tau3)
 
 
 @dataclass(frozen=True)

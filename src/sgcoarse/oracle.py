@@ -18,9 +18,9 @@ report measures.  dt defaults are solved from that phase bound.
 
 Both branches advance together as one (2, n) array: one forward and one
 inverse FFT per step.  The kick and drift factors depend only on the scaled
-dt, the scaled acceleration and the grid, which a step never changes, so a
-state carries them to the next step and they are rebuilt only when dt or the
-acceleration changes.
+dt, the acceleration and the grid, and a step never changes the last two, so
+a state carries them to the next step and they are rebuilt only when dt
+changes.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ _WIDTH_MARGIN = 12.0
 
 @dataclass(frozen=True)
 class _StepPlan:
-    """Strang factors for one (dt, acceleration) on a state's grid, all scaled."""
+    """Strang factors for one dt on a state's grid, all scaled."""
 
     dts: float
-    accel: float
     kick: np.ndarray  # (2, n): half-kick of the + and - branch
     drift: np.ndarray  # (n,): spectral free flight over dts
 
@@ -63,7 +62,7 @@ class GridState:
 
     `psi` holds the + and - branch as rows and `norms` their Σ|ψ|².  `plan`
     is the Strang factors of the step that made the state, which the next
-    step reuses while its dt and acceleration are the same.
+    step reuses while its dt is the same.
     """
 
     params: PhysicalParams
@@ -79,9 +78,6 @@ class GridState:
     def branch(self, b: str) -> np.ndarray:
         return self.psi[0 if branch_sign(b) > 0 else 1]
 
-    def norm(self, branch: str) -> float:
-        return float(np.sum(np.abs(self.branch(branch)) ** 2) * self.dx)
-
     def boundary_mass(self, margin: float = 2.0) -> float:
         """Probability within `margin` (scaled) of either grid edge."""
         p_tot = (np.abs(self.psi[0]) ** 2 + np.abs(self.psi[1]) ** 2) * self.dx
@@ -91,15 +87,6 @@ class GridState:
     def overlap(self) -> complex:
         """Grid estimate of ⟨φ₋|φ₊⟩."""
         return complex(np.sum(np.conj(self.psi[1]) * self.psi[0]) * self.dx)
-
-
-def _required_dx(params: PhysicalParams, t: float) -> float:
-    """Spacing that keeps 8 samples per shortest wavelength present at time t."""
-    units = UnitSystem.for_params(params)
-    a = abs(units.scale_accel(params.accel))
-    ts = units.scale_time(t)
-    k_max = a * ts + 6.0 * math.sqrt(1.0 + ts**2)  # kick plus packet momentum tail
-    return 2.0 * np.pi / (_SAMPLES_PER_WAVELENGTH * k_max)
 
 
 def make_grid_state(
@@ -126,19 +113,18 @@ def make_grid_state(
     )
 
 
-def step_split_operator(state: GridState, dt: float, params: PhysicalParams | None = None) -> GridState:
+def step_split_operator(state: GridState, dt: float) -> GridState:
     """Advance both branches by one Strang step of SI duration dt."""
-    params = state.params if params is None else params
     if not (0.0 < dt < math.inf):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     dts = state.units.scale_time(dt)
-    accel = state.units.scale_accel(params.accel)
     plan = state.plan
-    if plan is None or plan.dts != dts or plan.accel != accel:
+    if plan is None or plan.dts != dts:
+        accel = state.units.scale_accel(state.params.accel)
         k = 2.0 * np.pi * np.fft.fftfreq(state.x.size, d=state.dx)
         # V_s = -a_s x
         kick = np.stack([np.exp(1j * branch_sign(b) * accel * state.x * dts / 2.0) for b in ("+", "-")])
-        plan = _StepPlan(dts=dts, accel=accel, kick=kick, drift=np.exp(-1j * k**2 * dts / 2.0))
+        plan = _StepPlan(dts=dts, kick=kick, drift=np.exp(-1j * k**2 * dts / 2.0))
     out = plan.kick * state.psi
     np.fft.fft(out, axis=-1, out=out)
     out *= plan.drift
@@ -148,7 +134,7 @@ def step_split_operator(state: GridState, dt: float, params: PhysicalParams | No
     # np.max, unlike max(), keeps a NaN drift from any step
     drift_max = float(np.max(np.abs(norms / state.norms - 1.0), initial=state.step_norm_drift))
     return GridState(
-        params=params,
+        params=state.params,
         units=state.units,
         x=state.x,
         dx=state.dx,
@@ -161,18 +147,19 @@ def step_split_operator(state: GridState, dt: float, params: PhysicalParams | No
 
 
 def _check_resolution(params: PhysicalParams, t: float, n: int, half_width: float) -> None:
+    """Refuse a grid with fewer than 8 samples per shortest wavelength present
+    at time t, or too narrow to hold the packets."""
     units = UnitSystem.for_params(params)
+    a = abs(units.scale_accel(params.accel))
+    ts = units.scale_time(t)
+    k_max = a * ts + 6.0 * math.sqrt(1.0 + ts**2)  # kick plus packet momentum tail
     dx = 2.0 * half_width / n
-    need = _required_dx(params, t)
+    need = 2.0 * np.pi / (_SAMPLES_PER_WAVELENGTH * k_max)
     if dx > need:
-        a = abs(units.scale_accel(params.accel))
-        p_off = units.unscale_momentum(a * units.scale_time(t))
         raise ResolutionError(
             f"grid spacing {dx:.3e} (scaled) undersamples momentum "
-            f"{p_off:.3e} kg m/s at t={t:.3e} s; need dx <= {need:.3e}"
+            f"{units.unscale_momentum(k_max):.3e} kg m/s at t={t:.3e} s; need dx <= {need:.3e}"
         )
-    ts = units.scale_time(t)
-    a = abs(units.scale_accel(params.accel))
     drift = a * ts**2 / 2.0
     width = math.sqrt((1.0 + ts**2) / 2.0)
     if half_width < drift + _WIDTH_MARGIN * width:
@@ -216,7 +203,7 @@ def evolve_grid(
     steps = max(1, math.ceil(t / dt - 1e-12))
     dt = t / steps
     for _ in range(steps):
-        state = step_split_operator(state, dt, params)
+        state = step_split_operator(state, dt)
     return state
 
 
@@ -232,9 +219,7 @@ class OracleRow:
 
 @dataclass(frozen=True)
 class OracleReport:
-    params: PhysicalParams
     n: int
-    half_width: float
     rows: tuple[OracleRow, ...]
 
     # np.max, unlike max(), returns NaN when any value is NaN, so a check
@@ -282,10 +267,10 @@ def verify_closed_forms(
                 l2_err_minus=_branch_error(grid, exact, "-"),
                 overlap_dev=abs(grid.overlap() - ov_exact),
                 norm_drift=grid.step_norm_drift,
-                cum_norm_drift=max(abs(grid.norm(b) - 1.0) for b in ("+", "-")),
+                cum_norm_drift=float(np.max(np.abs(grid.norms * grid.dx - 1.0))),
             )
         )
-    return OracleReport(params=params, n=n, half_width=half_width, rows=tuple(rows))
+    return OracleReport(n=n, rows=tuple(rows))
 
 
 def convergence_order(

@@ -166,14 +166,22 @@ def test_verify_passes(tmp_path, silver_config, silver, scales, convergence,
     assert worst != max(convergence[1], key=lambda order: abs(order - 2.0))
 
 
-def test_verify_flags_coarse_timestep(tmp_path, silver_config, run_cli, capsys):
-    out = tmp_path / "run"
-    code = run_cli(["verify", "--config", silver_config, "--out", str(out),
-                    "--coarse-dt"])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "verify: FAIL closed_form_l2" in err
-    assert "convergence warning" in err
+@pytest.mark.parametrize("coarse_dt", ["0", "1"])
+def test_verify_replays_a_file_with_the_retired_coarse_dt_line(tmp_path, run_cli, coarse_dt):
+    # verify.csv files written while verify had --coarse-dt carry its header
+    # line; the setting is gone, so the line is ignored and the replay
+    # writes what a fresh run writes
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli(["verify", "--out", str(first), "--t-list", "1e-08,2e-08",
+                    "--n", "2048"]) == 0
+    fresh = (first / "verify.csv").read_text(encoding="utf-8")
+    old = tmp_path / "old.csv"
+    old.write_text(fresh.replace("# half_width = 10\n",
+                                 f"# half_width = 10\n# coarse_dt = {coarse_dt}\n"),
+                   encoding="utf-8")
+    assert f"# coarse_dt = {coarse_dt}" in old.read_text(encoding="utf-8")
+    assert run_cli(["verify", "--config", str(old), "--out", str(again)]) == 0
+    assert (again / "verify.csv").read_text(encoding="utf-8") == fresh
 
 
 def test_rerun_from_own_header_is_identical(tmp_path, silver_config, run_cli):
@@ -389,9 +397,9 @@ _EVERY_FLAG = {
                       ["# t_s = 1.9999999999999999e-06", "# grid = 12x10", "# coarse = 1",
                        "# coarse_grid = 6x4"], 0),
     "verify": (["--t-list", "1e-08,2.2752358511326858e-07", "--n", "2048",
-                "--half-width", "12", "--coarse-dt"],
+                "--half-width", "12"],
                ["# t_list_s = 1e-08,2.2752358511326858e-07", "# n_grid = 2048",
-                "# half_width = 12", "# coarse_dt = 1"], 3),
+                "# half_width = 12"], 0),
 }
 
 
@@ -417,7 +425,7 @@ _HELP_FLAGS = {
     "density": ["--t", "--points"],
     "wigner": ["--t", "--grid", "--pixels", "--coarse", "--coarse-grid"],
     "info": ["--t0", "--t1", "--points"],
-    "verify": ["--t-list", "--n", "--half-width", "--coarse-dt"],
+    "verify": ["--t-list", "--n", "--half-width"],
 }
 
 
@@ -505,24 +513,29 @@ def test_non_finite_spin_weight_exits_1(tmp_path, run_cli, capsys, command):
     assert "spin weights not normalized" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, check", [
-    ("l2_err_plus", "closed_form_l2"),
-    ("l2_err_minus", "closed_form_l2"),
-    ("overlap_dev", "overlap"),
-    ("norm_drift", "norm_drift"),
+@pytest.mark.parametrize("field, value, check", [
+    pytest.param("l2_err_plus", math.nan, "closed_form_l2", id="l2_err_plus-closed_form_l2"),
+    pytest.param("l2_err_minus", math.nan, "closed_form_l2", id="l2_err_minus-closed_form_l2"),
+    pytest.param("overlap_dev", math.nan, "overlap", id="overlap_dev-overlap"),
+    pytest.param("norm_drift", math.nan, "norm_drift", id="norm_drift-norm_drift"),
+    # finite values just past cli._TOL_L2, _TOL_OVERLAP and _TOL_NORM_DRIFT
+    pytest.param("l2_err_plus", 2e-6, "closed_form_l2", id="l2_err_plus-finite"),
+    pytest.param("overlap_dev", 2e-9, "overlap", id="overlap_dev-finite"),
+    pytest.param("norm_drift", 2e-12, "norm_drift", id="norm_drift-finite"),
 ])
-def test_verify_fails_on_a_nan_check_value(tmp_path, run_cli, capsys, monkeypatch, field, check):
+def test_verify_fails_on_a_nan_check_value(tmp_path, run_cli, capsys, monkeypatch, field, value,
+                                          check):
     real = cli.verify_closed_forms
 
-    def nan_in_last_row(params, times, **kwargs):
+    def breach_in_last_row(params, times, **kwargs):
         report = real(params, times, **kwargs)
         if times[0] != 2e-08:
             return report
         return dataclasses.replace(report, rows=tuple(
-            dataclasses.replace(row, **{field: math.nan}) for row in report.rows))
+            dataclasses.replace(row, **{field: value}) for row in report.rows))
 
-    monkeypatch.setattr(cli, "verify_closed_forms", nan_in_last_row)
-    # the NaN sits in the last row, where a plain max() would pass over it
+    monkeypatch.setattr(cli, "verify_closed_forms", breach_in_last_row)
+    # the breach sits in the last row, where a plain max() would pass over a NaN
     assert run_cli(["verify", "--out", str(tmp_path), "--t-list", "1e-08,2e-08",
                     "--n", "2048"]) == 3
     assert f"verify: FAIL {check}:" in capsys.readouterr().err
@@ -538,6 +551,20 @@ def test_verify_checks_every_convergence_order(tmp_path, run_cli, read_csv, caps
     assert "verify: FAIL convergence_order:" in capsys.readouterr().err
     header, _, _ = read_csv(tmp_path / "verify.csv")
     assert f"# observed_convergence_order = {format(orders[1], '.17g')}" in header
+
+
+def test_verify_undersampled_grid_names_the_momentum_it_needs(tmp_path, run_cli, capsys, silver):
+    # the bound is the kick plus six momentum widths of the spread packet,
+    # k_max = a t + 6 sqrt(1 + t^2) (scaled), not the kick F t alone
+    assert run_cli(["verify", "--t-list", "1e-09", "--n", "16", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    units = sg.UnitSystem.for_params(silver)
+    ts = units.scale_time(1e-9)
+    k_max = abs(units.scale_accel(silver.accel)) * ts + 6.0 * math.sqrt(1.0 + ts**2)
+    assert f"undersamples momentum {units.unscale_momentum(k_max):.3e} kg m/s" in err
+    assert "undersamples momentum 6.337e-28 kg m/s" in err
+    assert f"{abs(silver.force) * 1e-9:.3e}" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_verify_grid_below_16_points_names_the_count(tmp_path, run_cli, capsys):

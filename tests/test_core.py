@@ -21,7 +21,6 @@ def test_timescales_match_defining_relations(silver, scales):
     assert scales.tau1 == pytest.approx(math.sqrt(2.0 * m * s / f), rel=1e-12)
     assert scales.tau2 == pytest.approx(m * s * s / silver.hbar, rel=1e-12)
     assert scales.tau3 == pytest.approx(scales.tau1**2 / scales.tau2, rel=1e-12)
-    assert scales.a == pytest.approx(silver.accel, rel=1e-15)
 
 
 def test_timescale_ordering(scales):

@@ -1,9 +1,12 @@
 """Source hygiene: every module-level import in the package is used, and
-every module-level definition has a caller outside the unit tests or is
-listed as waiting on an open item for one."""
+every module-level definition, method and property has a caller outside
+the unit tests or is listed as waiting on an open item for one."""
 
 import ast
+import functools
+import importlib
 import pathlib
+import types
 
 import pytest
 
@@ -12,7 +15,8 @@ import sgcoarse
 PACKAGE = pathlib.Path(sgcoarse.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+SCOPES = DEFS + (ast.Lambda,)
 # Files whose references count as callers: a name only unit tests call is dead.
 CALLERS = ("src", "bench", "tests/test_acceptance.py", "tests/conftest.py")
 # Names that wait on an open ROADMAP item for their first caller, by module.
@@ -22,6 +26,13 @@ AWAITING_CALLER = {
     "dynamics.py": {"evolve_free_after_field"},  # items 6 and 8
     "information.py": {"reduced_spin_density", "von_neumann_entropy"},  # item 6
     "phase_space.py": {"coarse_position_density"},  # item 9
+}
+# Methods and properties, as Class.name, that wait the same way.  Exact too.
+AWAITING_METHODS = {
+    "dynamics.py": {"SpinorWavepacket.in_field"},  # items 6 and 8
+    "information.py": {"ScreenDistribution.mean_information"},  # item 4
+    "oracle.py": {"GridState.boundary_mass"},  # item 9
+    "phase_space.py": {"CoarsePixelSpec.cell_ratio"},  # item 9
 }
 
 
@@ -108,15 +119,20 @@ def _references(node, strings=True):
                 yield sub.value
 
 
+@functools.cache
+def _caller_trees():
+    """(path, syntax tree) of every file in CALLERS."""
+    sources = [p for c in map(ROOT.joinpath, CALLERS)
+               for p in (c.rglob("*.py") if c.is_dir() else [c])]
+    return tuple((s, ast.parse(s.read_text(encoding="utf-8"), filename=str(s))) for s in sources)
+
+
 def _referenced_outside(path, names):
     """The subset of `names` some file in CALLERS refers to, not counting a
     definition's references to itself or the package __init__'s re-export
     list."""
     found = set()
-    sources = [p for c in map(ROOT.joinpath, CALLERS)
-               for p in (c.rglob("*.py") if c.is_dir() else [c])]
-    for source in sources:
-        tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+    for source, tree in _caller_trees():
         own = {}  # definition node -> the names it defines, in the module itself
         if source.resolve() == path.resolve():
             for name, node in _defined_names(tree):
@@ -135,3 +151,80 @@ def test_module_level_definitions_are_referenced(path):
     dead = sorted(names - _referenced_outside(path, names))
     awaiting = sorted(AWAITING_CALLER.get(path.name, ()))
     assert dead == awaiting, f"{path.name}: module-level names without a caller: {dead}"
+
+
+def _methods(tree):
+    """(class, name) of each method and property the module's classes
+    define; dunders, which Python itself calls, are left out."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, DEFS) and not node.name.startswith("__"):
+                    yield cls.name, node.name
+
+
+def _overrides_a_library_method(module, cls_name, name):
+    """True when a base class from outside the package defines `name`, as
+    argparse.ArgumentParser defines the `error` that cli._Parser overrides:
+    the library is then the caller."""
+    bases = getattr(module, cls_name).__mro__[1:]
+    return any(hasattr(base, name) for base in bases
+               if not base.__module__.startswith(sgcoarse.__name__))
+
+
+def _module_aliases(tree):
+    """Names that an `import` statement of the file binds to a module, with
+    that module; a module that does not import here is left out."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                try:
+                    module = importlib.import_module(alias.name if alias.asname else _bound_name(alias))
+                except ImportError:
+                    continue
+                aliases[_bound_name(alias)] = module
+    return aliases
+
+
+def _module_read(node, aliases):
+    """The module that a dotted name such as np.linalg reads, else None."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute):
+        value = getattr(_module_read(node.value, aliases), node.attr, None)
+        return value if isinstance(value, types.ModuleType) else None
+    return None
+
+
+def _attributes_read(names):
+    """The subset of `names` some file in CALLERS reads as an attribute,
+    not counting a method's reads of its own name inside its body, nor a
+    library module's attributes (np.linalg.norm is no GridState.norm)."""
+    found = set()
+
+    def visit(node, own, aliases):
+        if (isinstance(node, ast.Attribute) and node.attr in names and node.attr not in own
+                and _module_read(node.value, aliases) is None):
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            method = isinstance(node, ast.ClassDef) and isinstance(child, DEFS)
+            visit(child, own | {child.name} if method else own, aliases)
+
+    for _, tree in _caller_trees():
+        visit(tree, frozenset(), _module_aliases(tree))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_methods_and_properties_are_referenced(path):
+    # by name, as above: a read of `.name` on any object counts for every
+    # method and property of that name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    module = importlib.import_module(f"{sgcoarse.__name__}.{path.stem}")
+    methods = [(cls, name) for cls, name in _methods(tree)
+               if not _overrides_a_library_method(module, cls, name)]
+    read = _attributes_read({name for _, name in methods})
+    dead = sorted(f"{cls}.{name}" for cls, name in methods if name not in read)
+    awaiting = sorted(AWAITING_METHODS.get(path.name, ()))
+    assert dead == awaiting, f"{path.name}: methods and properties without a caller: {dead}"
