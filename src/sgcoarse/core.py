@@ -15,7 +15,9 @@ timescales built from (m, F, σ_x):
 with σ the initial position spread.  Internally all computation is done in
 scaled units (length σ, time τ₂, momentum ħ/σ), which makes m = ħ = σ = 1
 and keeps every phase argument and prefactor near unity; SI enters and
-leaves only at the API boundary.
+leaves only at the API boundary.  `UnitSystem` holds the SI value of each
+unit: a value is scaled by dividing it by its unit value, and unscaled by
+multiplying.
 """
 
 from __future__ import annotations
@@ -130,70 +132,31 @@ def derive_scales(params: PhysicalParams) -> DerivedScales:
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """Scaled units (length σ, time τ₂ = mσ²/ħ, momentum ħ/σ, action ħ).
+    """SI values of the scaled units, one per kind of quantity.
 
-    In these units m = ħ = σ = 1.  Conversions are plain multiplications,
-    so round trips are exact to floating point.
+    In these units m = ħ = σ = 1.  A value is scaled by dividing it by its
+    unit and unscaled by multiplying, so round trips are exact to floating
+    point.  ``wigner`` is the unit of a Wigner density, 1/(σ · ħ/σ) = 1/ħ.
     """
 
-    sigma: float
-    tau2: float
-    hbar: float
+    length: float  # σ
+    time: float  # τ₂ = mσ²/ħ
+    momentum: float  # ħ/σ
+    accel: float  # σ/τ₂²
+    amplitude: float  # σ^(-1/2), a 1-D wavefunction value
+    wigner: float  # 1/ħ
 
     @classmethod
     def for_params(cls, params: PhysicalParams) -> "UnitSystem":
+        time = params.mass * params.sigma**2 / params.hbar
         return cls(
-            sigma=params.sigma,
-            tau2=params.mass * params.sigma**2 / params.hbar,
-            hbar=params.hbar,
+            length=params.sigma,
+            time=time,
+            momentum=params.hbar / params.sigma,
+            accel=params.sigma / time**2,
+            amplitude=params.sigma**-0.5,
+            wigner=1.0 / params.hbar,
         )
-
-    # unit values in SI
-    @property
-    def momentum(self) -> float:
-        return self.hbar / self.sigma
-
-    @property
-    def accel(self) -> float:
-        return self.sigma / self.tau2**2
-
-    @property
-    def amplitude(self) -> float:
-        """Unit of a 1D wavefunction value, σ^(-1/2)."""
-        return self.sigma**-0.5
-
-    @property
-    def phase_space_density(self) -> float:
-        """Unit of a Wigner density, 1/(σ · ħ/σ) = 1/ħ."""
-        return 1.0 / self.hbar
-
-    def scale_length(self, x):
-        return x / self.sigma
-
-    def unscale_length(self, x):
-        return x * self.sigma
-
-    def scale_time(self, t):
-        return t / self.tau2
-
-    def unscale_time(self, t):
-        return t * self.tau2
-
-    def scale_momentum(self, p):
-        return p / self.momentum
-
-    def unscale_momentum(self, p):
-        return p * self.momentum
-
-    def scale_accel(self, a):
-        return a / self.accel
-
-    def unscale_density(self, rho):
-        """Position density |φ|²: scaled -> SI (1/m)."""
-        return rho / self.sigma
-
-    def unscale_wigner(self, w):
-        return w * self.phase_space_density
 
 
 def parse_config_text(text: str) -> dict[str, float]:

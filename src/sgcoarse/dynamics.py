@@ -179,24 +179,24 @@ class SpinorWavepacket:
         weighted=True returns the full-state component c_s φ_s; False the
         bare normalized branch φ_s.
         """
-        val = self.branch(branch).value(self.units.scale_length(np.asarray(x, dtype=float)))
+        val = self.branch(branch).value(np.asarray(x, dtype=float) / self.units.length)
         val = val * self.units.amplitude
         if weighted:
             val = val * self.params.weight(branch)
         return val
 
-    def density(self, branch: str, x, *, weighted: bool = True):
-        """|amplitude|² at SI position x (units 1/m)."""
-        return np.abs(self.amplitude(branch, x, weighted=weighted)) ** 2
+    def density(self, branch: str, x):
+        """|c_s φ_s|² at SI position x (units 1/m)."""
+        return np.abs(self.amplitude(branch, x)) ** 2
 
     def center(self, branch: str) -> float:
-        return self.units.unscale_length(self.branch(branch).center)
+        return self.branch(branch).center * self.units.length
 
     def variance(self, branch: str) -> float:
-        return self.branch(branch).variance * self.units.sigma**2
+        return self.branch(branch).variance * self.units.length**2
 
     def mean_momentum(self, branch: str) -> float:
-        return self.units.unscale_momentum(self.branch(branch).mean_momentum)
+        return self.branch(branch).mean_momentum * self.units.momentum
 
     def block_form(self, pair: str) -> PhaseSpaceGaussian:
         """Wigner block of the bare branches φ_s, φ_o of the spin pair so, as
@@ -236,8 +236,8 @@ def evolve_in_field(params: PhysicalParams, t: float) -> SpinorWavepacket:
     if not (0.0 <= t < math.inf):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
     units = UnitSystem.for_params(params)
-    ts = units.scale_time(t)
-    a = units.scale_accel(params.accel)
+    ts = t / units.time
+    a = params.accel / units.accel
     return SpinorWavepacket(
         params=params,
         units=units,
@@ -255,7 +255,7 @@ def evolve_free_after_field(params: PhysicalParams, t1: float, t: float) -> Spin
     if not (t1 <= t < math.inf):
         raise ValueError(f"time must be finite and not precede field exit {t1}, got {t}")
     state = evolve_in_field(params, t1)
-    dts = state.units.scale_time(t - t1)
+    dts = (t - t1) / state.units.time
     return SpinorWavepacket(
         params=params,
         units=state.units,

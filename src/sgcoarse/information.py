@@ -216,7 +216,7 @@ def screen_distribution(
     if not (0.0 < Delta < math.inf):
         raise ValueError(f"pixel width must be positive and finite, got {Delta}")
     u = state.units
-    dh = u.scale_length(Delta)
+    dh = Delta / u.length
     forms = [state.density_form(b) for b in "+-"]
     Xh = _pixel_grid(*_support(forms), dh, alignment)
     p_plus, p_minus = (f.C * gauss_window(Xh - 0.5 * dh, Xh + 0.5 * dh, f.mu, f.a)
@@ -226,7 +226,7 @@ def screen_distribution(
     q_minus = 1.0 - q_plus
     S = _entropy((q_plus, q_minus))
     return ScreenDistribution(
-        X=u.unscale_length(Xh),
+        X=Xh * u.length,
         Delta=Delta,
         P_plus=p_plus,
         P_minus=p_minus,

@@ -98,23 +98,32 @@ def _wigner_block(state: SpinorWavepacket, pair: str) -> PhaseSpaceGaussian:
     return replace(form, amp=complex(weight * form.amp))
 
 
+def _lay_blocks(state: SpinorWavepacket, q: np.ndarray, p: np.ndarray, evaluate,
+                **fields) -> WignerMatrixField:
+    """Wigner matrix on the axes q (m) and p (kg·m/s), each block given by
+    evaluate(form, q, p) in scaled units on the (len(q), 1) × (1, len(p))
+    mesh; `fields` fill the field's source and pixels."""
+    u = state.units
+    qs = (q / u.length).reshape(-1, 1)
+    ps = (p / u.momentum).reshape(1, -1)
+    w = {}
+    for pair in ("++", "--", "+-"):
+        w[pair] = evaluate(_wigner_block(state, pair), qs, ps) * u.wigner
+    return WignerMatrixField(
+        params=state.params, t=state.t, q=q, p=p,
+        w_pp=w["++"].real, w_mm=w["--"].real, w_pm=w["+-"], **fields,
+    )
+
+
 def wigner_analytic(state: SpinorWavepacket, q, p) -> WignerMatrixField:
     """Closed-form Wigner matrix on the axes q (m) and p (kg·m/s).
 
     Holds for any equal-width branch pair, in the field or after it; the
     blocks have shape (len(q), len(p)).
     """
-    u = state.units
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    qg = u.scale_length(q).reshape(-1, 1)
-    pg = u.scale_momentum(p).reshape(1, -1)
-    w = {pair: u.unscale_wigner(_wigner_block(state, pair).value(qg, pg))
-         for pair in ("++", "--", "+-")}
-    return WignerMatrixField(
-        params=state.params, t=state.t, q=q, p=p,
-        w_pp=w["++"].real, w_mm=w["--"].real, w_pm=w["+-"], source=state,
-    )
+    return _lay_blocks(state, q, p, PhaseSpaceGaussian.value, source=state)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +135,7 @@ def _numeric_spacing_bound(params: PhysicalParams, t: float, p_max: float) -> fl
     up to |p_max| on top of the phase gradient k_state of the state itself:
     π/(8(|p_max|/ħ + k_state))."""
     u = UnitSystem.for_params(params)
-    k_state = (abs(u.scale_accel(params.accel)) * u.scale_time(t) + 10.0) / params.sigma
+    k_state = (abs(params.accel / u.accel) * (t / u.time) + 10.0) / params.sigma
     return np.pi / (8.0 * (abs(p_max) / params.hbar + k_state))
 
 
@@ -366,8 +375,8 @@ class WignerMatrixField:
         u = state.units
         f = _wigner_block(state, pair)
         c, v, rate = f.q_marginal()
-        dq = np.asarray(u.scale_length(self.q), dtype=float) - f.q0
-        return u.unscale_density(c * np.exp(-0.5 * dq**2 / v + 1j * rate * dq))
+        dq = self.q / u.length - f.q0
+        return c * np.exp(-0.5 * dq**2 / v + 1j * rate * dq) / u.length
 
     def total(self) -> float:
         """∬ (W₊₊ + W₋₋) dq dp: exact in p, trapezoid over the q nodes."""
@@ -445,9 +454,10 @@ def _box_average_form(
     needed = max(1, math.ceil(span / panel))
     n_panels = min(needed, _MAX_PANELS)
     if needed > n_panels:
+        # stacklevel 5 is coarse_grain's caller (via its lambda and _lay_blocks)
         warnings.warn(
             f"coarse grain under-resolved: a pixel's momentum phase needs {needed} "
-            f"Gauss-Legendre panels, {n_panels} are used", RuntimeWarning, stacklevel=3)
+            f"Gauss-Legendre panels, {n_panels} are used", RuntimeWarning, stacklevel=5)
     xg, wg = gauss_legendre_nodes(0.0, 1.0, 12)
     offsets = [(k + xk) / n_panels for k in range(n_panels) for xk in xg]
     weights = [wk / n_panels for _ in range(n_panels) for wk in wg]
@@ -472,19 +482,11 @@ def coarse_grain(field: WignerMatrixField, pix: CoarsePixelSpec) -> WignerMatrix
     from the closed form; numeric and coarse fields raise ValueError.
     """
     state = field._closed_form()
-    u = state.units
-    qh = np.asarray(u.scale_length(field.q), dtype=float).reshape(-1, 1)
-    ph = np.asarray(u.scale_momentum(field.p), dtype=float).reshape(1, -1)
-    hu = 0.5 * u.scale_length(pix.Delta)
-    hv = 0.5 * u.scale_momentum(pix.delta)
-    blocks = {}
-    for pair in ("++", "--", "+-"):
-        w = _box_average_form(_wigner_block(state, pair), qh, ph, hu, hv)
-        blocks[pair] = u.unscale_wigner(w)
-    return WignerMatrixField(
-        params=field.params, t=field.t, q=field.q, p=field.p,
-        w_pp=blocks["++"].real, w_mm=blocks["--"].real, w_pm=blocks["+-"],
-        source=None, pixels=pix,
+    hu = 0.5 * (pix.Delta / state.units.length)
+    hv = 0.5 * (pix.delta / state.units.momentum)
+    return _lay_blocks(
+        state, field.q, field.p,
+        lambda form, qs, ps: _box_average_form(form, qs, ps, hu, hv), pixels=pix,
     )
 
 
@@ -561,8 +563,8 @@ def coarse_position_density(
     if not (0.0 < Delta < math.inf):
         raise ValueError(f"pixel width must be positive and finite, got {Delta}")
     u = state.units
-    qa = u.scale_length(np.asarray(q, dtype=float))
-    hw = 0.5 * u.scale_length(Delta)
+    qa = np.asarray(q, dtype=float) / u.length
+    hw = 0.5 * (Delta / u.length)
     f = state.density_form(pair[0])
     mass = f.C * gauss_window(qa - hw, qa + hw, f.mu, f.a)
-    return u.unscale_density(mass / (2.0 * hw))
+    return mass / (2.0 * hw) / u.length

@@ -100,6 +100,52 @@ def test_wigner_writes_no_negative_zero(tmp_path, silver_config, run_cli, weight
     assert (again / path.name).read_bytes() == path.read_bytes()
 
 
+_MIRROR_RUNS = (
+    ["entropy", "--t1", "2e-6", "--points", "40"],
+    ["info", "--points", "12"],
+    ["density", "--points", "201"],
+    # odd grids put nodes at p = 0 and within a width of p = ±Ft, so every
+    # block is nonzero somewhere and no swap passes on zeros alone
+    ["wigner", "--t", "1e-06", "--grid", "21x21", "--coarse", "--coarse-grid", "9x9"],
+    ["wigner", "--t", "3e-05", "--grid", "21x21", "--coarse", "--coarse-grid", "9x9"],
+    ["verify", "--n", "2048", "--t-list", "2e-8,2e-7"],
+)
+
+
+def test_reversed_force_mirrors_every_output(tmp_path, run_cli, read_csv, silver):
+    # F -> -F with equal weights swaps the branches: φ₊ takes φ₋'s place, so
+    # the + and - columns trade places and W₊₋ turns into its conjugate
+    out = {}
+    for sign in (1, -1):
+        cfg = _weighted_config(tmp_path, force=sign * silver.force)
+        out[sign] = tmp_path / f"force{sign:+d}"
+        for argv in _MIRROR_RUNS:
+            assert run_cli([*argv, "--config", cfg, "--out", str(out[sign])]) == 0, argv
+    names = sorted(path.name for path in out[1].iterdir())
+    assert names == sorted(path.name for path in out[-1].iterdir())
+    assert len(names) == 8  # entropy, info, density, verify and four wigner files
+    for name in names:
+        head_up, cols, up = read_csv(out[1] / name)
+        head_down, _, down = read_csv(out[-1] / name)
+        assert np.all(np.any(up != 0.0, axis=0)), name
+        assert [h for h in head_up if "force_N" not in h] == \
+               [h for h in head_down if "force_N" not in h], name
+        swap = {"rho_plus": "rho_minus", "W_pp": "W_mm", "l2_err_plus": "l2_err_minus"}
+        swap.update({b: a for a, b in swap.items()})
+        want = up[:, [cols.index(swap.get(c, c)) for c in cols]]
+        if "Im_W_pm" in cols:
+            want[:, cols.index("Im_W_pm")] *= -1.0
+        if name == "info.csv":
+            # H integrates P·(prior - entropy) with the branches' roles
+            # swapped, so it rounds apart at the scale of its ln 2 ceiling
+            # (one ulp, 1.6e-16 of the column's max), not of its own size
+            h = cols.index("H")
+            np.testing.assert_allclose(down[:, h], want[:, h], rtol=0.0,
+                                       atol=1e-15 * np.max(up[:, h]))
+            want[:, h] = down[:, h]
+        assert np.array_equal(down, want), name
+
+
 def test_density_output(tmp_path, silver_config, run_cli, read_csv):
     out = tmp_path / "run"
     code = run_cli(["density", "--config", silver_config, "--out", str(out),
@@ -559,9 +605,9 @@ def test_verify_undersampled_grid_names_the_momentum_it_needs(tmp_path, run_cli,
     assert run_cli(["verify", "--t-list", "1e-09", "--n", "16", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     units = sg.UnitSystem.for_params(silver)
-    ts = units.scale_time(1e-9)
-    k_max = abs(units.scale_accel(silver.accel)) * ts + 6.0 * math.sqrt(1.0 + ts**2)
-    assert f"undersamples momentum {units.unscale_momentum(k_max):.3e} kg m/s" in err
+    ts = 1e-9 / units.time
+    k_max = abs(silver.accel / units.accel) * ts + 6.0 * math.sqrt(1.0 + ts**2)
+    assert f"undersamples momentum {k_max * units.momentum:.3e} kg m/s" in err
     assert "undersamples momentum 6.337e-28 kg m/s" in err
     assert f"{abs(silver.force) * 1e-9:.3e}" not in err
     assert not list(tmp_path.glob("*.csv"))

@@ -132,11 +132,12 @@ def test_entries_require_the_core_keys():
 
 
 def test_unit_scalars(silver, units):
-    assert units.sigma == silver.sigma
-    assert units.tau2 == pytest.approx(silver.mass * silver.sigma**2 / silver.hbar)
+    assert units.length == silver.sigma
+    assert units.time == pytest.approx(silver.mass * silver.sigma**2 / silver.hbar)
     assert units.momentum == pytest.approx(silver.hbar / silver.sigma)
+    assert units.accel == pytest.approx(silver.sigma / units.time**2)
     assert units.amplitude == pytest.approx(silver.sigma**-0.5)
-    assert units.unscale_wigner(1.0) == pytest.approx(1.0 / silver.hbar)
+    assert units.wigner == pytest.approx(1.0 / silver.hbar)
 
 
 _magnitudes = st.floats(min_value=1e-12, max_value=1e12,
@@ -146,13 +147,9 @@ _magnitudes = st.floats(min_value=1e-12, max_value=1e12,
 @given(value=_magnitudes)
 def test_unit_round_trips(value):
     units = UnitSystem.for_params(sg.PhysicalParams.silver())
-    for scale, unscale in [
-        (units.scale_length, units.unscale_length),
-        (units.scale_time, units.unscale_time),
-        (units.scale_momentum, units.unscale_momentum),
-    ]:
-        assert unscale(scale(value)) == pytest.approx(value, rel=1e-12)
-        assert scale(unscale(value)) == pytest.approx(value, rel=1e-12)
+    for unit in (units.length, units.time, units.momentum, units.accel):
+        assert (value / unit) * unit == pytest.approx(value, rel=1e-12)
+        assert (value * unit) / unit == pytest.approx(value, rel=1e-12)
 
 
 @given(

@@ -15,7 +15,7 @@ def test_initial_packet_is_canonical(state_t0, silver):
     assert state_t0.mean_momentum("+") == 0.0
     assert state_t0.variance("+") == pytest.approx(silver.sigma**2 / 2.0, rel=1e-12)
     x = np.linspace(-8e-6, 8e-6, 20001)
-    norm = np.trapezoid(state_t0.density("+", x, weighted=False), x)
+    norm = np.trapezoid(abs(state_t0.amplitude("+", x, weighted=False)) ** 2, x)
     assert norm == pytest.approx(1.0, abs=1e-12)
 
 
@@ -33,7 +33,7 @@ def test_width_spreads_like_a_free_packet(silver, units):
     # the uniform force displaces but never squeezes: var = (sigma^2/2)(1 + th^2)
     t = 2.0e-5
     state = sg.evolve_in_field(silver, t)
-    th = units.scale_time(t)
+    th = t / units.time
     want = 0.5 * silver.sigma**2 * (1.0 + th * th)
     for branch in "+-":
         assert state.variance(branch) == pytest.approx(want, rel=1e-12)
@@ -113,7 +113,7 @@ def test_branch_values_keep_their_digits_at_long_times(silver, t):
     # |φ|² relative and the phase relative to φ(x̄), at x̄ and x̄ ± 1.5 widths;
     # the |φ|² floor from 1e-3 s on is the rounding of x̄ itself
     state = sg.evolve_in_field(silver, t)
-    ts, a = state.units.scale_time(t), state.units.scale_accel(silver.accel)
+    ts, a = t / state.units.time, silver.accel / state.units.accel
     for branch, a_s in (("+", a), ("-", -a)):
         g = state.branch(branch)
         xs = g.center + math.sqrt(g.variance) * np.array([-1.5, 0.0, 1.5])

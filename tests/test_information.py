@@ -141,10 +141,10 @@ def _mpmath_screen(state, screen):
     difference of the tail it lies in, so no mass cancels."""
     u = state.units
     forms = [state.density_form(b) for b in "+-"]
-    half = 0.5 * u.scale_length(screen.Delta)
+    half = 0.5 * (screen.Delta / u.length)
     rows = []
     with mpmath.workdps(30):
-        for x in u.scale_length(screen.X):
+        for x in screen.X / u.length:
             mass = []
             for f in forms:
                 ra = mpmath.sqrt(f.a)
@@ -222,6 +222,26 @@ def test_coarser_pixels_lose_information(silver, scales):
             for width in (silver.sigma / 4, silver.sigma, 4 * silver.sigma)
         ]
         assert gained[0] >= gained[1] >= gained[2] >= 0.0
+
+
+@given(s=st.floats(min_value=0.0, max_value=1.0),
+       w_plus=st.floats(min_value=0.05, max_value=0.95),
+       log_width=st.floats(min_value=-1.5, max_value=0.7),
+       k=st.sampled_from([2, 3, 4]))
+def test_nested_screens_obey_data_processing(s, w_plus, log_width, k, scales):
+    # edge-aligned pixels of width kΔ are unions of pixels of width Δ, so
+    # each coarsening is a function of the finer reading and cannot add
+    # information: H(kΔ) <= H(Δ) <= the fine limit.  t runs log-uniformly
+    # over [τ₃, 5τ₁]
+    t = scales.tau3 * (5.0 * scales.tau1 / scales.tau3) ** s
+    params = sg.PhysicalParams.silver(c_plus=complex(math.sqrt(w_plus)),
+                                      c_minus=complex(math.sqrt(1.0 - w_plus)))
+    state = sg.evolve_in_field(params, t)
+    width = params.sigma * 10.0**log_width
+    fine, coarse = (sg.screen_distribution(state, d, alignment="edge").mean_information()
+                    for d in (width, k * width))
+    assert coarse <= fine + 1e-12
+    assert fine <= sg.mean_information(state) + 1e-12
 
 
 def test_small_pixels_approach_the_fine_limit(silver, scales):

@@ -105,8 +105,8 @@ def _mpmath_block(state, pair, qh, ph):
     mpmath from the scaled time and acceleration."""
     u = state.units
     with mpmath.workdps(40):
-        t = mpmath.mpf(u.scale_time(state.t))
-        accel = mpmath.mpf(u.scale_accel(state.params.accel))
+        t = mpmath.mpf(state.t / u.time)
+        accel = mpmath.mpf(state.params.accel / u.accel)
         d = 1 + 1j * t
         coef = {}
         for b, a_s in (("+", accel), ("-", -accel)):
@@ -147,7 +147,7 @@ def test_closed_form_keeps_its_digits_at_long_times(silver, t):
         p = np.tile(p0 + sp * np.arange(-1, 2), 3)
         field = sg.wigner_analytic(state, q, p)
         got = np.diagonal(field.block(pair)) * silver.hbar
-        want = _mpmath_block(state, pair, u.scale_length(q), u.scale_momentum(p))
+        want = _mpmath_block(state, pair, q / u.length, p / u.momentum)
         peak = abs(silver.weight(pair[0]) * silver.weight(pair[1])) / np.pi
         assert float(np.max(np.abs(got - want))) < LONG_TIME_BOUNDS[t] * peak
 
@@ -810,9 +810,8 @@ def _reference_box_average_form(form, qh, ph, hu, hv):
 def _scaled_coarse_inputs(state, q, p):
     u = state.units
     pix = sg.CoarsePixelSpec.default()
-    return (np.asarray(u.scale_length(q), dtype=float).reshape(-1, 1),
-            np.asarray(u.scale_momentum(p), dtype=float).reshape(1, -1),
-            0.5 * u.scale_length(pix.Delta), 0.5 * u.scale_momentum(pix.delta))
+    return ((q / u.length).reshape(-1, 1), (p / u.momentum).reshape(1, -1),
+            0.5 * (pix.Delta / u.length), 0.5 * (pix.delta / u.momentum))
 
 
 @pytest.mark.parametrize("t", [1e-6, 3e-5])
@@ -853,11 +852,13 @@ def test_coarse_grain_warns_when_its_panel_cap_binds(silver, t, needed):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sg.coarse_grain(fine, sg.CoarsePixelSpec.default())
-    messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+    caught = [w for w in caught if w.category is RuntimeWarning]
+    messages = [str(w.message) for w in caught]
     if needed is None:
         assert messages == []
     else:
         assert len(messages) == 1
+        assert caught[0].filename == __file__  # points at coarse_grain's caller
         assert "under-resolved" in messages[0] and f"needs {needed} " in messages[0]
         assert f"{_MAX_PANELS} are used" in messages[0]
 
