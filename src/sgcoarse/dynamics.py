@@ -195,9 +195,6 @@ class SpinorWavepacket:
     def variance(self, branch: str) -> float:
         return self.branch(branch).variance * self.units.length**2
 
-    def mean_momentum(self, branch: str) -> float:
-        return self.branch(branch).mean_momentum * self.units.momentum
-
     def block_form(self, pair: str) -> PhaseSpaceGaussian:
         """Wigner block of the bare branches φ_s, φ_o of the spin pair so, as
         derived in the phase_space module docstring.  The weights c_s c_o*

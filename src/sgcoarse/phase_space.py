@@ -52,6 +52,7 @@ _FRINGE_PERIODS = 6.0  # fringe periods spanned by measure_oscillation_scale
 _FRINGE_SAMPLES = 8192
 _Y_CHUNK = 256  # lags per phase-table chunk of wigner_numeric
 _LAG_BLOCK = 32  # chunks per row GEMM of wigner_numeric
+_RHO_CHUNK = 8192  # nodes per chunk of density_matrix's sampling and of grid-step checks
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +71,8 @@ class DensityMatrixField:
 
 
 def density_matrix(state: SpinorWavepacket, grid) -> DensityMatrixField:
-    """Sample the spinor density matrix of `state` on a position grid (m)."""
+    """Sample the spinor density matrix of `state` on a position grid (m),
+    _RHO_CHUNK nodes at a time, so sampling holds no full-length temporary."""
     x = np.asarray(grid, dtype=float)
     if x.size == 0:
         raise ValueError("position grid is empty")
@@ -78,12 +80,14 @@ def density_matrix(state: SpinorWavepacket, grid) -> DensityMatrixField:
         raise ValueError("position grid must be a finite 1D array")
     if x.size > 1 and not np.all(np.diff(x) > 0):
         raise ValueError("position grid must be strictly increasing")
+    amp_plus = np.empty(x.size, dtype=complex)
+    amp_minus = np.empty(x.size, dtype=complex)
+    for s in range(0, x.size, _RHO_CHUNK):
+        chunk = x[s:s + _RHO_CHUNK]
+        amp_plus[s:s + chunk.size] = state.amplitude("+", chunk)
+        amp_minus[s:s + chunk.size] = state.amplitude("-", chunk)
     return DensityMatrixField(
-        params=state.params,
-        t=state.t,
-        x=x,
-        amp_plus=state.amplitude("+", x),
-        amp_minus=state.amplitude("-", x),
+        params=state.params, t=state.t, x=x, amp_plus=amp_plus, amp_minus=amp_minus,
     )
 
 
@@ -143,11 +147,12 @@ def _uniform_spacing(a: np.ndarray, what: str) -> float:
     """The step of the uniform grid `a`; any unequal step raises ValueError.
 
     atol is 0 because grid steps in metres are far below numpy's default
-    absolute tolerance of 1e-8.
+    absolute tolerance of 1e-8; the steps are checked _RHO_CHUNK at a time.
     """
     d = float(a[1] - a[0])
-    if not np.allclose(np.diff(a), d, rtol=1e-9, atol=0.0):
-        raise ValueError(f"{what} must be uniformly spaced")
+    for s in range(0, a.size - 1, _RHO_CHUNK):
+        if not np.allclose(np.diff(a[s:s + _RHO_CHUNK + 1]), d, rtol=1e-9, atol=0.0):
+            raise ValueError(f"{what} must be uniformly spaced")
     return d
 
 
@@ -174,10 +179,11 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     Each q row, at node i with window m = min(i-lo, hi-i), sums its own
     lags y = 2·dx·j, j = 0…m, in chunks of k = _Y_CHUNK taken
     B = _LAG_BLOCK at a time; a row with m < 0 lies outside the support
-    and is 0.  The amplitudes at q ± y/2 are contiguous slices of the two
-    amplitude rows, cut to the support and padded with k zeros so that a
-    lag past m in a row's last chunk puts a sample off it and adds 0, and
-    one (4·B × k) @ (k × n_p) product serves the four spin pairs of B chunks.
+    and is 0.  The amplitudes at q ± y/2 are contiguous slices of rho's two
+    amplitude rows, read in place: m ≤ min(i-lo, hi-i), so no slice leaves
+    [lo, hi].  The lags past m in a row's last chunk are zeroed, not read,
+    and one (4·B × k) @ (k × n_p) product serves the four spin pairs of B
+    chunks.
     By the shift theorem, exp(-i p 2dx(j₀+j')/ħ) = exp(-i p 2dx j₀/ħ) ·
     exp(-i p 2dx j'/ħ), so one k×n_p table for j' = 0…k-1 serves every
     chunk, and the chunk at j₀ scales its product by one row of an
@@ -187,8 +193,9 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     it is the conjugate of the sum with the +- and -+ rows swapped, so the
     field is Hermitian and its diagonal real by construction, and it
     records no residue.
-    Memory is O(n_rho + n_support + B·k + (k + n_chunks)·n_p) besides the
-    output: a row's work buffers hold B·k lags however long its window.
+    Memory is O(n_rho + B·k + (k + n_chunks)·n_p) besides the output: the
+    lag and product buffers, allocated once per call, hold B chunks however
+    long a row's window.
     q, p are coordinate axes as in wigner_analytic.
     """
     x = rho.x
@@ -222,34 +229,42 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
         )
 
     # Row i sums its lags j = 0..m, m = min(i-lo, hi-i), in chunks of k, B
-    # chunks per product; k zeros on each side of the amplitude rows, cut to
-    # the support, make the lags past m in its last chunk put a sample off it.
-    mag = np.maximum(np.abs(rho.amp_plus), np.abs(rho.amp_minus))
+    # chunks per product.  A block's four products are written from slices
+    # of rho's own rows, which stay in [lo, hi] since j <= m; the lags past m
+    # in its last chunk are zeroed.
+    mag = np.abs(rho.amp_plus)
+    np.maximum(mag, np.abs(rho.amp_minus), out=mag)
     lo, hi = np.flatnonzero(mag >= np.finfo(float).eps * mag.max())[[0, -1]]
     del mag  # not held through the transform
     m = np.minimum(idx - lo, hi - idx)  # < 0: the row lies outside the support
     m_max = int(m.max(initial=0))
     k = min(_Y_CHUNK, m_max + 1)
-    amps = np.zeros((2, hi - lo + 1 + 2 * k), dtype=complex)
-    amps[0, k:-k] = rho.amp_plus[lo:hi + 1]
-    amps[1, k:-k] = rho.amp_minus[lo:hi + 1]
     y_step = 2.0 * dx / hbar  # phase per lag per unit p
     phase = np.exp(-1j * np.outer(y_step * np.arange(k), pa))  # lags j0 + 0..k-1
     shift = np.exp(-1j * np.outer(y_step * np.arange(0, m_max + 1, k), pa))  # each j0
+    lags = np.empty(4 * _LAG_BLOCK * k, dtype=complex)
+    prods = np.empty((4 * _LAG_BLOCK, pa.size), dtype=complex)
     acc = np.zeros((4, qa.size, pa.size), dtype=complex)  # ++, +-, -+, -- rows
-    for row, (c, m_row) in enumerate(zip((idx - lo + k).tolist(), m.tolist())):
+    for row, (i, m_row) in enumerate(zip(idx.tolist(), m.tolist())):
         if m_row < 0:
             continue  # stays 0
-        n_row = m_row // k + 1  # c is the row's node in the padded rows
+        n_row = m_row // k + 1
         for b0 in range(0, n_row, _LAG_BLOCK):
             nb = min(_LAG_BLOCK, n_row - b0)
             j0, span = b0 * k, nb * k
-            up = amps[:, c + j0:c + j0 + span]  # amplitudes at q + y/2
-            down = np.conj(amps[:, c - j0 - span + 1:c - j0 + 1][:, ::-1])  # at q - y/2
-            r = (up[:, None] * down[None]).reshape(4 * nb, k)
+            n = min(span, m_row + 1 - j0)  # lags j0..j0+n-1 lie in the window
+            up, down = slice(i + j0, i + j0 + n), slice(i - j0 - n + 1, i - j0 + 1)
+            r = lags[:4 * span].reshape(2, 2, span)  # ++, +-, -+, -- rows
+            # r[1] takes conj of the amplitudes at q - y/2, then both rows times those at q + y/2
+            np.conj(rho.amp_plus[down][::-1], out=r[1, 0, :n])
+            np.conj(rho.amp_minus[down][::-1], out=r[1, 1, :n])
+            np.multiply(rho.amp_plus[up], r[1, :, :n], out=r[0, :, :n])
+            np.multiply(rho.amp_minus[up], r[1, :, :n], out=r[1, :, :n])
+            r[:, :, n:] = 0.0
+            r = r.reshape(4 * nb, k)
             if b0 == 0:
                 r[::nb, 0] *= 0.5  # y = 0 is counted once over both signs of j
-            prod = (r @ phase).reshape(4, nb, pa.size)
+            prod = np.matmul(r, phase, out=prods[:4 * nb]).reshape(4, nb, pa.size)
             acc[:, row] += np.einsum("bcp,cp->bp", prod, shift[b0:b0 + nb])
     # r_ab(-j) = conj(r_ba(+j)), so the sum over j < 0 is conj(acc) with
     # the +- and -+ rows swapped.

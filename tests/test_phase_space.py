@@ -21,6 +21,7 @@ from sgcoarse.numerics import gauss_legendre_nodes, osc_gauss_window
 from sgcoarse.phase_space import (
     _LAG_BLOCK,
     _MAX_PANELS,
+    _RHO_CHUNK,
     _SUPPORT_SIGMAS,
     _Y_CHUNK,
     SPIN_PAIRS,
@@ -142,7 +143,8 @@ def test_closed_form_keeps_its_digits_at_long_times(silver, t):
     sp = math.sqrt(alpha.real + alpha.imag**2 / alpha.real) * silver.hbar / silver.sigma
     for pair in ("++", "+-"):
         q0 = 0.5 * (state.center(pair[0]) + state.center(pair[1]))
-        p0 = 0.5 * (state.mean_momentum(pair[0]) + state.mean_momentum(pair[1]))
+        p0 = 0.5 * (state.branch(pair[0]).mean_momentum
+                    + state.branch(pair[1]).mean_momentum) * u.momentum
         q = np.repeat(q0 + sq * np.arange(-1, 2), 3)
         p = np.tile(p0 + sp * np.arange(-1, 2), 3)
         field = sg.wigner_analytic(state, q, p)
@@ -289,6 +291,55 @@ def test_folded_numeric_transform_matches_the_per_row_loop(silver, weights):
         assert np.all(field.block(pair)[[0, -1]] == 0.0), pair
 
 
+def test_numeric_transform_of_a_grid_inside_the_packet(silver):
+    # rho's grid lies well inside the packet, so its support [lo, hi] is the
+    # whole grid and a central row's window m = min(i, n-1-i) ends at both
+    # ends of the amplitude rows: its last lag reads nodes 0 and n-1, and a
+    # slice reaching one node further would start at -1.  On the second grid
+    # the central rows take two lag blocks, the last one partly past m.
+    state = sg.evolve_in_field(silver, 1.0e-5)
+    width_p = silver.hbar / (np.sqrt(2.0) * silver.sigma)
+    p = np.concatenate([np.linspace(-3.0 * width_p, 3.0 * width_p, 7), [1e-30]])
+    k = _Y_CHUNK
+    blk = _LAG_BLOCK * k
+    for step, half in [(3.5e-9, 3 * k + 5), (1e-10, blk + 3)]:
+        n = 2 * half + 1
+        rho = sg.density_matrix(state, step * (np.arange(n) - half))
+        mag = np.maximum(np.abs(rho.amp_plus), np.abs(rho.amp_minus))
+        assert mag.min() > 1e-3 * mag.max()  # lo = 0 and hi = n - 1
+        q = rho.x[[half, half - 1, half + 1, 0, 1, n - 2, n - 1]]
+        field = sg.wigner_numeric(rho, q, p)
+        want = _reference_wigner_numeric(rho, q, p)
+        peak = max(float(np.max(np.abs(block))) for block in want.values())
+        assert peak * silver.hbar > 1e-3
+        for pair in SPIN_PAIRS:
+            dev = float(np.max(np.abs(field.block(pair) - want[pair])))
+            assert dev <= 1e-12 * peak, (n, pair)
+
+
+def test_density_matrix_samples_the_amplitudes_in_chunks(state_early):
+    # 2.5 chunks: two whole ones and a half one, each node as state.amplitude
+    # gives it on the whole grid
+    n = 5 * _RHO_CHUNK // 2
+    x = 1e-9 * (np.arange(n) - 0.5 * n)
+    rho = sg.density_matrix(state_early, x)
+    assert np.array_equal(rho.amp_plus, state_early.amplitude("+", x))
+    assert np.array_equal(rho.amp_minus, state_early.amplitude("-", x))
+
+
+@pytest.mark.parametrize("j", [0, _RHO_CHUNK - 1, _RHO_CHUNK, 2 * _RHO_CHUNK, -1],
+                         ids=["first", "chunk-end", "chunk-start", "later-chunk", "last"])
+def test_numeric_transform_checks_every_grid_step(state_early, j):
+    # the steps are checked a chunk at a time; one step of 1.5 dx on either
+    # side of a chunk boundary, or at either end, must still be seen
+    n = 5 * _RHO_CHUNK // 2
+    x = 1e-9 * (np.arange(n) - 0.5 * n)
+    x[j % (n - 1) + 1:] += 0.5e-9
+    rho = sg.density_matrix(state_early, x)
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        sg.wigner_numeric(rho, x[[n // 2]], np.array([0.0]))
+
+
 def test_numeric_transform_rows_follow_a_permuted_q_axis(silver):
     # each row sums its own window and is stored at its place in the
     # caller's order, so permuting q permutes the rows and nothing else
@@ -321,7 +372,8 @@ def test_numeric_transform_of_a_pure_spin_state(c_plus, c_minus):
     width_q = math.sqrt(state.variance(branch))
     width_p = params.hbar / (math.sqrt(2.0) * params.sigma)
     q = state.center(branch) + np.linspace(-6.0 * width_q, 6.0 * width_q, 33)
-    p = state.mean_momentum(branch) + np.linspace(-6.0 * width_p, 6.0 * width_p, 33)
+    p_mean = state.branch(branch).mean_momentum * state.units.momentum
+    p = p_mean + np.linspace(-6.0 * width_p, 6.0 * width_p, 33)
     numeric = sg.wigner_field(state, q, p, method="numeric")
     analytic = sg.wigner_analytic(state, q, p)
     assert np.all(numeric.block(missing + missing) == 0.0)
@@ -362,10 +414,13 @@ def test_numeric_transform_streams_its_phase_table(state_early, silver):
     # phase table for every lag up to the longest window (57 320 x 64 as
     # angle, cos and sin, 88 MB) puts the call's peak at 93 MB, and padding
     # the amplitude rows by the longest window at 17 MB.  Each row streams
-    # its own window in blocks of _LAG_BLOCK chunks, so the working memory
-    # does not grow with the longest window, and the padded copy holds only
-    # the amplitudes' 48 895-node support: the call peaks at 8.3 MB, mostly
-    # the sampled rho (10.5 MB with a copy of all of it).
+    # its own window in blocks of _LAG_BLOCK chunks, read in place from the
+    # sampled rows, so the working memory does not grow with the longest
+    # window and there is no padded copy: the call peaks at 6.5 MB, the
+    # sampled rho and its grid (4.6 MB) plus the support scan's two
+    # full-length magnitudes (1.8 MB), above the fixed lag buffers.  A padded
+    # copy of the 48 895-node support and fresh lag products for every block
+    # put it at 8.5 MB.
     q, p = sg.default_phase_space_grid(silver, state_early.t, n_q=64, n_p=64)
     tracemalloc.start()
     try:
@@ -373,7 +428,7 @@ def test_numeric_transform_streams_its_phase_table(state_early, silver):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+    assert peak < 7.5e6
 
 
 @pytest.mark.parametrize("offset", [-7.0, -0.2, 3.0], ids=["low", "just-low", "high"])
@@ -483,7 +538,8 @@ def test_coarse_pixels_tile_the_exact_masses(silver, t):
     state = sg.evolve_in_field(silver, t)
     pix = sg.CoarsePixelSpec.default()
     q_reach = abs(state.center("+")) + 12.0 * math.sqrt(state.variance("+")) + pix.Delta
-    p_reach = abs(state.mean_momentum("+")) + 12.0 * silver.hbar / silver.sigma + pix.delta
+    p_plus = state.branch("+").mean_momentum * state.units.momentum
+    p_reach = abs(p_plus) + 12.0 * silver.hbar / silver.sigma + pix.delta
     cell = pix.Delta * pix.delta
     overlap = silver.c_plus * np.conj(silver.c_minus) * state.branch_overlap()
     nq, np_ = math.ceil(q_reach / pix.Delta), math.ceil(p_reach / pix.delta)
@@ -734,12 +790,12 @@ def test_post_field_closed_form_matches_numeric(state_post, silver):
     width_q = 6.0 * np.sqrt(state_post.variance("+"))
     width_p = 6.0 * silver.hbar / (np.sqrt(2.0) * silver.sigma)
     fringe = sg.oscillation_scale(silver, state_post.t_exit)
-    windows = [
-        (np.linspace(state_post.center(b) - width_q, state_post.center(b) + width_q, 16),
-         np.linspace(state_post.mean_momentum(b) - width_p,
-                     state_post.mean_momentum(b) + width_p, 16))
-        for b in "+-"
-    ]
+    windows = []
+    for b in "+-":
+        q_b = state_post.center(b)
+        p_b = state_post.branch(b).mean_momentum * state_post.units.momentum
+        windows.append((np.linspace(q_b - width_q, q_b + width_q, 16),
+                        np.linspace(p_b - width_p, p_b + width_p, 16)))
     windows.append((0.25 * fringe * (np.arange(16) - 7.5), np.linspace(-width_p, width_p, 16)))
     for q, p in windows:
         analytic = sg.wigner_field(state_post, q, p, method="analytic")
