@@ -35,7 +35,8 @@ from .core import (
 )
 from .dynamics import evolve_in_field
 from .information import entanglement_series, information_series
-from .oracle import OracleReport, convergence_order, default_dt, verify_closed_forms
+from .oracle import (DEFAULT_GRID_POINTS, DEFAULT_HALF_WIDTH, OracleReport, convergence_order,
+                     default_dt, verify_closed_forms)
 from .phase_space import (
     WIGNER_CSV_HEADER,
     CoarsePixelSpec,
@@ -363,8 +364,9 @@ _COMMANDS = {
     )),
     "verify": (_cmd_verify, "grid integrator vs closed forms -> verify.csv", (
         ("--t-list", "t_list_s", str, None, "comma-separated times in s"),
-        ("--n", "n_grid", _count(16), 4096, "grid points (default 4096)"),
-        ("--half-width", "half_width", _finite, 10.0),
+        ("--n", "n_grid", _count(16), DEFAULT_GRID_POINTS,
+         f"grid points (default {DEFAULT_GRID_POINTS})"),
+        ("--half-width", "half_width", _finite, DEFAULT_HALF_WIDTH),
     )),
 }
 

@@ -142,12 +142,11 @@ _CANONICAL = GaussianBranch(center=0.0, mean_momentum=0.0, alpha=0.5 + 0j, phase
 
 
 class DensityForm(NamedTuple):
-    """|c_s φ_s(x)|² = C exp(-a (x - mu)²) on the scaled axis; log_C = ln C."""
+    """|c_s φ_s(x)|² = C exp(-a (x - mu)²) on the scaled axis."""
 
     C: float
     mu: float
     a: float
-    log_C: float
 
 
 @dataclass(frozen=True)
@@ -219,9 +218,7 @@ class SpinorWavepacket:
         q-marginal of the diagonal block times |c|²."""
         form = self.block_form(branch + branch)
         c, v, _ = form.q_marginal()
-        c = abs(self.params.weight(branch)) ** 2 * c.real
-        log_c = math.log(c) if c > 0.0 else -math.inf  # a pure spin state has c = 0
-        return DensityForm(c, form.q0, 0.5 / v, log_c)
+        return DensityForm(abs(self.params.weight(branch)) ** 2 * c.real, form.q0, 0.5 / v)
 
     def branch_overlap(self) -> complex:
         """⟨φ₋|φ₊⟩: the integral of the bare cross block."""

@@ -132,21 +132,18 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 class ScreenDistribution:
     """Per-pixel detection statistics on a position screen.
 
-    X are pixel centers (m), Delta the common pixel width.  P_plus/P_minus
-    are joint probabilities of (arrive in pixel, spin branch); q_plus and
-    q_minus condition on arrival.  S is the conditional spin entropy and
-    I = H - S the information gained per event, both in nats, with H the
-    prior spin entropy; I is negative where a detection leaves the spin
-    less certain than the prior.
+    X are pixel centers (m).  P_plus/P_minus are joint probabilities of
+    (arrive in pixel, spin branch); q_plus = P(+|X) conditions on arrival,
+    so P(-|X) = 1 - q_plus.  I = H - S(X) is the information gained per
+    event in nats, with H the prior spin entropy and S(X) the binary
+    entropy of q_plus; I is negative where a detection leaves the spin less
+    certain than the prior.  captured is the screen's total mass.
     """
 
     X: np.ndarray
-    Delta: float
     P_plus: np.ndarray
     P_minus: np.ndarray
     q_plus: np.ndarray
-    q_minus: np.ndarray
-    S: np.ndarray
     I: np.ndarray
     captured: float
 
@@ -174,9 +171,11 @@ def _support(forms) -> tuple[float, float]:
 
 def _posterior_plus(forms, x):
     """P(+|x), the stable logistic of the exact log-density ratio; it stays
-    exact where both branch densities underflow."""
+    exact where both branch densities underflow.  ln C is -inf for the
+    empty branch of a pure spin state, whose C is 0."""
     fp, fm = forms
-    dl = (fp.log_C - fp.a * (x - fp.mu) ** 2) - (fm.log_C - fm.a * (x - fm.mu) ** 2)
+    lp, lm = (math.log(f.C) if f.C > 0.0 else -math.inf for f in forms)
+    dl = (lp - fp.a * (x - fp.mu) ** 2) - (lm - fm.a * (x - fm.mu) ** 2)
     e = np.exp(-np.abs(dl))
     return np.where(dl >= 0.0, 1.0, e) / (1.0 + e)
 
@@ -223,17 +222,12 @@ def screen_distribution(
                        for f in forms)
     tot = p_plus + p_minus
     q_plus = np.divide(p_plus, tot, out=_posterior_plus(forms, Xh), where=tot > 1e-300)
-    q_minus = 1.0 - q_plus
-    S = _entropy((q_plus, q_minus))
     return ScreenDistribution(
         X=Xh * u.length,
-        Delta=Delta,
         P_plus=p_plus,
         P_minus=p_minus,
         q_plus=q_plus,
-        q_minus=q_minus,
-        S=S,
-        I=_prior_entropy(state.params) - S,
+        I=_prior_entropy(state.params) - _entropy((q_plus, 1.0 - q_plus)),
         captured=float(np.sum(tot)),
     )
 
@@ -249,7 +243,7 @@ def mean_information(state: SpinorWavepacket) -> float:
     """
     prior = _prior_entropy(state.params)
     forms = [state.density_form(b) for b in "+-"]
-    (Cp, mup, arp, _), (Cm, mum, arm, _) = forms
+    (Cp, mup, arp), (Cm, mum, arm) = forms
 
     def integrand(x):
         pp = Cp * np.exp(-arp * (x - mup) ** 2)

@@ -103,20 +103,17 @@ def _wigner_block(state: SpinorWavepacket, pair: str) -> PhaseSpaceGaussian:
 
 
 def _lay_blocks(state: SpinorWavepacket, q: np.ndarray, p: np.ndarray, evaluate,
-                **fields) -> WignerMatrixField:
+                source: SpinorWavepacket | None = None) -> WignerMatrixField:
     """Wigner matrix on the axes q (m) and p (kg·m/s), each block given by
     evaluate(form, q, p) in scaled units on the (len(q), 1) × (1, len(p))
-    mesh; `fields` fill the field's source and pixels."""
+    mesh; `source` becomes the field's source."""
     u = state.units
     qs = (q / u.length).reshape(-1, 1)
     ps = (p / u.momentum).reshape(1, -1)
     w = {}
     for pair in ("++", "--", "+-"):
         w[pair] = evaluate(_wigner_block(state, pair), qs, ps) * u.wigner
-    return WignerMatrixField(
-        params=state.params, t=state.t, q=q, p=p,
-        w_pp=w["++"].real, w_mm=w["--"].real, w_pm=w["+-"], **fields,
-    )
+    return WignerMatrixField(q, p, w["++"].real, w["--"].real, w["+-"], source)
 
 
 def wigner_analytic(state: SpinorWavepacket, q, p) -> WignerMatrixField:
@@ -270,10 +267,7 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     # the +- and -+ rows swapped.
     out = (acc + np.conj(acc[[0, 2, 1, 3]])) * (2.0 * dx / (2.0 * np.pi * hbar))
     w_pp, w_pm, _, w_mm = out
-    return WignerMatrixField(
-        params=rho.params, t=rho.t, q=qa, p=pa,
-        w_pp=w_pp.real, w_mm=w_mm.real, w_pm=w_pm,
-    )
+    return WignerMatrixField(q=qa, p=pa, w_pp=w_pp.real, w_mm=w_mm.real, w_pm=w_pm)
 
 
 def density_grid_for_wigner(
@@ -343,22 +337,14 @@ class WignerMatrixField:
     generating state when the field came from the closed form; marginals,
     totals and coarse graining need it and raise ValueError without it, so
     numeric and coarse fields can only be compared block by block.
-    `pixels` is set on coarse-grained fields.
     """
 
-    params: PhysicalParams
-    t: float  # s
     q: np.ndarray  # m
     p: np.ndarray  # kg·m/s
     w_pp: np.ndarray  # (nq, np) real
     w_mm: np.ndarray
     w_pm: np.ndarray  # complex
     source: SpinorWavepacket | None = None
-    pixels: CoarsePixelSpec | None = None
-
-    @property
-    def w_mp(self) -> np.ndarray:
-        return np.conj(self.w_pm)
 
     def block(self, pair: str) -> np.ndarray:
         if pair == "++":
@@ -368,7 +354,7 @@ class WignerMatrixField:
         if pair == "+-":
             return self.w_pm
         if pair == "-+":
-            return self.w_mp
+            return np.conj(self.w_pm)
         raise ValueError(f"pair must be one of {SPIN_PAIRS}, got {pair!r}")
 
     def _closed_form(self) -> SpinorWavepacket:
@@ -402,10 +388,12 @@ class WignerMatrixField:
 WIGNER_CSV_HEADER = "q,p,W_pp,W_mm,Re_W_pm,Im_W_pm"
 
 
-def default_phase_space_grid(
-    params: PhysicalParams, t: float, n_q: int = 512, n_p: int = 512
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grids containing both displaced packets and the kicked momenta ±Ft."""
+def default_phase_space_grid(params: PhysicalParams, t: float, n_q: int,
+                             n_p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grids containing both displaced packets and the kicked momenta ±Ft at
+    a time t (s) in the field; a negative or non-finite t raises ValueError."""
+    if not (0.0 <= t < math.inf):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     a = abs(params.accel)
     f = abs(params.force)
     q_half = 10.0 * params.sigma + 0.5 * a * t * t
@@ -499,10 +487,8 @@ def coarse_grain(field: WignerMatrixField, pix: CoarsePixelSpec) -> WignerMatrix
     state = field._closed_form()
     hu = 0.5 * (pix.Delta / state.units.length)
     hv = 0.5 * (pix.delta / state.units.momentum)
-    return _lay_blocks(
-        state, field.q, field.p,
-        lambda form, qs, ps: _box_average_form(form, qs, ps, hu, hv), pixels=pix,
-    )
+    return _lay_blocks(state, field.q, field.p,
+                       lambda form, qs, ps: _box_average_form(form, qs, ps, hu, hv))
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +498,17 @@ def coarse_grain(field: WignerMatrixField, pix: CoarsePixelSpec) -> WignerMatrix
 def project_spin_direction(w, n):
     """Tr[W(q,p)(𝟙 + n·σ)/2] for a spin direction n (unit 3-vector).
 
-    Takes a WignerMatrixField and returns the projected real field.
-    Non-unit n is normalized with a warning.
+    Takes a WignerMatrixField and returns the projected real field.  Axes:
+    n = (0, 1, 0) gives W₊₊, n = (0, 0, 1) gives ½(W₊₊ + W₋₋) + Im W₊₋ and
+    n = (1, 0, 0), the CSVs' W_proj_x, gives ½(W₊₊ + W₋₋) + Re W₊₋.
+    Non-unit n is normalized with a warning; a zero or non-finite n raises.
     """
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise ValueError(f"n must be a 3-vector, got shape {n.shape}")
     norm = float(np.linalg.norm(n))
-    if norm == 0.0:
-        raise ValueError("n must be nonzero")
+    if not (0.0 < norm < math.inf):
+        raise ValueError(f"n must be nonzero and finite, got |n| = {norm}")
     if abs(norm - 1.0) > 1e-12:
         warnings.warn(f"normalizing non-unit spin direction (|n| = {norm})")
         n = n / norm

@@ -34,6 +34,22 @@ AWAITING_METHODS = {
     "oracle.py": {"GridState.boundary_mass"},  # item 9
     "phase_space.py": {"CoarsePixelSpec.cell_ratio"},  # item 9
 }
+# Method and property names that some other field, method or function in
+# src also defines.  test_methods_and_properties_are_referenced matches
+# callers by name, so a read of any one of them passes them all; each was
+# checked by hand, with the src call that reaches it noted.  Exact, so a new
+# collision fails until someone checks it the same way.  Names in
+# AWAITING_METHODS are left out: that check already lists them as dead.
+SHARED_NAMES = {
+    "accel",  # PhysicalParams.accel: derive_scales and evolve_in_field read params.accel
+    "amplitude",  # SpinorWavepacket.amplitude: density_matrix, oracle._branch_error
+    "branch",  # SpinorWavepacket.branch: its amplitude; GridState.branch: oracle._branch_error
+    "center",  # SpinorWavepacket.center: density_grid_for_wigner
+    "value",  # GaussianBranch.value: SpinorWavepacket.amplitude;
+    # PhaseSpaceGaussian.value: wigner_analytic passes it to _lay_blocks
+    "variance",  # SpinorWavepacket.variance: density_grid_for_wigner;
+    # GaussianBranch.variance: SpinorWavepacket.variance
+}
 
 
 def _bound_name(alias):
@@ -161,6 +177,31 @@ def _methods(tree):
             for node in cls.body:
                 if isinstance(node, DEFS) and not node.name.startswith("__"):
                     yield cls.name, node.name
+
+
+def _definitions(tree):
+    """(class, name) of each field, method and property of the module's
+    classes, and (None, name) of each module-level definition."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, DEFS):
+                    yield cls.name, node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield cls.name, node.target.id
+    for name, _ in _defined_names(tree):
+        yield None, name
+
+
+def test_shared_method_names_are_listed():
+    # the names the by-name check below cannot tell apart
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in MODULES}
+    defs = {(module, *d) for module, tree in trees.items() for d in _definitions(tree)}
+    awaiting = {m.split(".")[1] for methods in AWAITING_METHODS.values() for m in methods}
+    shared = {name for module, tree in trees.items() for cls, name in _methods(tree)
+              if any(d[2] == name and d[:2] != (module, cls) for d in defs)}
+    assert shared - awaiting == SHARED_NAMES
 
 
 def _overrides_a_library_method(module, cls_name, name):

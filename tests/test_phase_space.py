@@ -417,10 +417,11 @@ def test_numeric_transform_streams_its_phase_table(state_early, silver):
     # its own window in blocks of _LAG_BLOCK chunks, read in place from the
     # sampled rows, so the working memory does not grow with the longest
     # window and there is no padded copy: the call peaks at 6.5 MB, the
-    # sampled rho and its grid (4.6 MB) plus the support scan's two
-    # full-length magnitudes (1.8 MB), above the fixed lag buffers.  A padded
-    # copy of the 48 895-node support and fresh lag products for every block
-    # put it at 8.5 MB.
+    # sampled rho and its grid (4.6 MB) plus 1.85 MB, which the support
+    # scan's two full-length magnitudes and, after them, the lag buffers,
+    # the accumulator and the Hermitian sum each about fill.  A padded copy
+    # of the 48 895-node support and fresh lag products for every block put
+    # it at 8.5 MB.
     q, p = sg.default_phase_space_grid(silver, state_early.t, n_q=64, n_p=64)
     tracemalloc.start()
     try:
@@ -490,7 +491,7 @@ def test_coarse_pixels_suppress_interference(coarse_late, silver):
                    float(np.max(np.abs(field.w_mm))))
     ratio = float(np.max(np.abs(field.w_pm))) / diag_max
     assert ratio == pytest.approx(1.83084349004062e-05, rel=1e-2)
-    assert field.pixels is not None and field.source is None
+    assert field.source is None
 
 
 def test_coarse_diagonals_stay_nonnegative(coarse_late, silver):
@@ -722,6 +723,22 @@ def test_spin_projection_identities(state_early, silver):
         sg.project_spin_direction(field, (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         sg.project_spin_direction(field, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (1.0, 0.0, -math.inf)],
+                         ids=["nan", "inf", "minus-inf"])
+def test_spin_projection_refuses_a_non_finite_direction(state_early, silver, n):
+    q, p = sg.default_phase_space_grid(silver, state_early.t, n_q=4, n_p=4)
+    field = sg.wigner_field(state_early, q, p)
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        sg.project_spin_direction(field, n)
+
+
+@pytest.mark.parametrize("bad", [-1e-6, math.nan, math.inf, -math.inf],
+                         ids=["negative", "nan", "inf", "minus-inf"])
+def test_default_grid_refuses_a_bad_time(silver, bad):
+    with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+        sg.default_phase_space_grid(silver, bad, 8, 8)
 
 
 def test_csv_row_iteration_is_q_major(state_early):
