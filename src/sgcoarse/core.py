@@ -95,12 +95,10 @@ class PhysicalParams:
         """Branch acceleration magnitude carrier a = F/m (signed)."""
         return self.force / self.mass
 
-    def weight(self, branch: str) -> complex:
-        if branch == "+":
-            return self.c_plus
-        if branch == "-":
-            return self.c_minus
-        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
+    @property
+    def weights(self) -> tuple[complex, complex]:
+        """(c₊, c₋), in the branch order of `sgcoarse.dynamics.BRANCHES`."""
+        return self.c_plus, self.c_minus
 
 
 @dataclass(frozen=True)

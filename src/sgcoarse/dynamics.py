@@ -42,15 +42,25 @@ import numpy as np
 
 from .core import PhysicalParams, UnitSystem
 
+# The branch table: every per-branch tuple in the package is in BRANCHES
+# order, and branch_index and pair_indices alone read a label.
+BRANCHES = ("+", "-")
+SIGNS = (1, -1)  # a_s = s·F/m
 SPIN_PAIRS = ("++", "--", "+-", "-+")
 
 
-def branch_sign(branch: str) -> int:
-    if branch == "+":
-        return 1
-    if branch == "-":
-        return -1
-    raise ValueError(f"branch must be '+' or '-', got {branch!r}")
+def branch_index(label: str) -> int:
+    """Position of the branch label in BRANCHES; a malformed one raises ValueError."""
+    if label not in BRANCHES:
+        raise ValueError(f"branch must be '+' or '-', got {label!r}")
+    return BRANCHES.index(label)
+
+
+def pair_indices(pair: str) -> tuple[int, int]:
+    """BRANCHES positions (s, o) of the spin pair so; a malformed one raises ValueError."""
+    if pair not in SPIN_PAIRS:
+        raise ValueError(f"pair must be one of {SPIN_PAIRS}, got {pair!r}")
+    return BRANCHES.index(pair[0]), BRANCHES.index(pair[1])
 
 
 @dataclass(frozen=True)
@@ -161,8 +171,7 @@ class SpinorWavepacket:
     units: UnitSystem
     t: float
     t_exit: float
-    plus: GaussianBranch
-    minus: GaussianBranch
+    branches: tuple[GaussianBranch, GaussianBranch]  # in BRANCHES order
 
     @property
     def in_field(self) -> bool:
@@ -170,7 +179,7 @@ class SpinorWavepacket:
         return self.t_exit == self.t
 
     def branch(self, branch: str) -> GaussianBranch:
-        return self.plus if branch_sign(branch) > 0 else self.minus
+        return self.branches[branch_index(branch)]
 
     def amplitude(self, branch: str, x, *, weighted: bool = True):
         """Branch amplitude at SI position x (units m^(-1/2)).
@@ -178,10 +187,11 @@ class SpinorWavepacket:
         weighted=True returns the full-state component c_s φ_s; False the
         bare normalized branch φ_s.
         """
-        val = self.branch(branch).value(np.asarray(x, dtype=float) / self.units.length)
+        i = branch_index(branch)
+        val = self.branches[i].value(np.asarray(x, dtype=float) / self.units.length)
         val = val * self.units.amplitude
         if weighted:
-            val = val * self.params.weight(branch)
+            val = val * self.params.weights[i]
         return val
 
     def density(self, branch: str, x):
@@ -200,7 +210,7 @@ class SpinorWavepacket:
         are left to the Wigner matrix, so the cross block integrates to
         ⟨φ_o|φ_s⟩ whatever they are, c₋ = 0 included.
         """
-        bs, bo = self.branch(pair[0]), self.branch(pair[1])
+        bs, bo = (self.branches[i] for i in pair_indices(pair))
         if abs(bs.alpha - bo.alpha) > 1e-10 * abs(bs.alpha):
             raise ValueError("unequal branch widths: no equal-width Wigner form")
         a, b = bs.alpha.real, bs.alpha.imag
@@ -216,9 +226,10 @@ class SpinorWavepacket:
     def density_form(self, branch: str) -> DensityForm:
         """Weighted branch density as one real Gaussian in scaled units: the
         q-marginal of the diagonal block times |c|²."""
+        i = branch_index(branch)
         form = self.block_form(branch + branch)
         c, v, _ = form.q_marginal()
-        return DensityForm(abs(self.params.weight(branch)) ** 2 * c.real, form.q0, 0.5 / v)
+        return DensityForm(abs(self.params.weights[i]) ** 2 * c.real, form.q0, 0.5 / v)
 
     def branch_overlap(self) -> complex:
         """⟨φ₋|φ₊⟩: the integral of the bare cross block."""
@@ -237,8 +248,7 @@ def evolve_in_field(params: PhysicalParams, t: float) -> SpinorWavepacket:
         units=units,
         t=t,
         t_exit=t,
-        plus=_CANONICAL.evolved(+a, ts),
-        minus=_CANONICAL.evolved(-a, ts),
+        branches=tuple(_CANONICAL.evolved(s * a, ts) for s in SIGNS),
     )
 
 
@@ -255,6 +265,5 @@ def evolve_free_after_field(params: PhysicalParams, t1: float, t: float) -> Spin
         units=state.units,
         t=t,
         t_exit=t1,
-        plus=state.plus.evolved(0.0, dts),
-        minus=state.minus.evolved(0.0, dts),
+        branches=tuple(b.evolved(0.0, dts) for b in state.branches),
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DerivedScales, PhysicalParams, derive_scales
-from .dynamics import SpinorWavepacket, evolve_in_field
+from .dynamics import BRANCHES, SpinorWavepacket, evolve_in_field
 from .numerics import gauss_window, real_quad
 
 LN2 = math.log(2.0)
@@ -105,7 +105,7 @@ def reduced_spin_density(state: SpinorWavepacket) -> np.ndarray:
 
     rho[s, s'] = c_s c_s'* <phi_s'|phi_s>, with the exact branch overlap.
     """
-    cp, cm = state.params.c_plus, state.params.c_minus
+    cp, cm = state.params.weights
     off = cp * np.conj(cm) * state.branch_overlap()
     return np.array(
         [[abs(cp) ** 2, off], [np.conj(off), abs(cm) ** 2]], dtype=complex
@@ -216,7 +216,7 @@ def screen_distribution(
         raise ValueError(f"pixel width must be positive and finite, got {Delta}")
     u = state.units
     dh = Delta / u.length
-    forms = [state.density_form(b) for b in "+-"]
+    forms = [state.density_form(b) for b in BRANCHES]
     Xh = _pixel_grid(*_support(forms), dh, alignment)
     p_plus, p_minus = (f.C * gauss_window(Xh - 0.5 * dh, Xh + 0.5 * dh, f.mu, f.a)
                        for f in forms)
@@ -242,7 +242,7 @@ def mean_information(state: SpinorWavepacket) -> float:
     screen of finite pixels use screen_distribution(...).mean_information().
     """
     prior = _prior_entropy(state.params)
-    forms = [state.density_form(b) for b in "+-"]
+    forms = [state.density_form(b) for b in BRANCHES]
     (Cp, mup, arp), (Cm, mum, arm) = forms
 
     def integrand(x):

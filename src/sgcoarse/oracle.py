@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import PhysicalParams, ResolutionError, UnitSystem
-from .dynamics import SpinorWavepacket, branch_sign, evolve_in_field
+from .dynamics import BRANCHES, SIGNS, SpinorWavepacket, evolve_in_field
 
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_HALF_WIDTH = 10.0  # scaled units of sigma
@@ -74,9 +74,6 @@ class GridState:
     norms: np.ndarray  # (2,): Σ|ψ|² of each row
     step_norm_drift: float = 0.0  # max per-step relative norm change so far
     plan: _StepPlan | None = field(default=None, repr=False, compare=False)
-
-    def branch(self, b: str) -> np.ndarray:
-        return self.psi[0 if branch_sign(b) > 0 else 1]
 
     def boundary_mass(self, margin: float = 2.0) -> float:
         """Probability within `margin` (scaled) of either grid edge."""
@@ -123,7 +120,7 @@ def step_split_operator(state: GridState, dt: float) -> GridState:
         accel = state.params.accel / state.units.accel
         k = 2.0 * np.pi * np.fft.fftfreq(state.x.size, d=state.dx)
         # V_s = -a_s x
-        kick = np.stack([np.exp(1j * branch_sign(b) * accel * state.x * dts / 2.0) for b in ("+", "-")])
+        kick = np.stack([np.exp(1j * s * accel * state.x * dts / 2.0) for s in SIGNS])
         plan = _StepPlan(dts=dts, kick=kick, drift=np.exp(-1j * k**2 * dts / 2.0))
     out = plan.kick * state.psi
     np.fft.fft(out, axis=-1, out=out)
@@ -237,11 +234,11 @@ class OracleReport:
         return float(np.max([r.norm_drift for r in self.rows]))
 
 
-def _branch_error(grid: GridState, exact: SpinorWavepacket, branch: str) -> float:
-    """Relative L2 error of the grid branch against the closed form."""
+def _branch_error(grid: GridState, exact: SpinorWavepacket, i: int) -> float:
+    """Relative L2 error of grid row i against the closed-form branch BRANCHES[i]."""
     x_si = grid.x * grid.units.length
-    ref = exact.amplitude(branch, x_si, weighted=False) / grid.units.amplitude
-    diff = np.abs(grid.branch(branch) - ref)
+    ref = exact.amplitude(BRANCHES[i], x_si, weighted=False) / grid.units.amplitude
+    diff = np.abs(grid.psi[i] - ref)
     num = np.sum(diff**2) * grid.dx
     den = np.sum(np.abs(ref) ** 2) * grid.dx
     return float(np.sqrt(num / den))
@@ -263,8 +260,8 @@ def verify_closed_forms(
         rows.append(
             OracleRow(
                 t=float(t),
-                l2_err_plus=_branch_error(grid, exact, "+"),
-                l2_err_minus=_branch_error(grid, exact, "-"),
+                l2_err_plus=_branch_error(grid, exact, 0),
+                l2_err_minus=_branch_error(grid, exact, 1),
                 overlap_dev=abs(grid.overlap() - ov_exact),
                 norm_drift=grid.step_norm_drift,
                 cum_norm_drift=float(np.max(np.abs(grid.norms * grid.dx - 1.0))),
@@ -288,6 +285,6 @@ def convergence_order(
     for lvl in range(_CONVERGENCE_LEVELS):
         dt = dt0 / 2**lvl
         grid = evolve_grid(params, t, dt=dt, n=n, half_width=half_width)
-        errs.append(float(np.max([_branch_error(grid, exact, b) for b in ("+", "-")])))
+        errs.append(float(np.max([_branch_error(grid, exact, i) for i in range(len(BRANCHES))])))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     return errs, orders

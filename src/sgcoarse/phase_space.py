@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import HBAR, PhysicalParams, ResolutionError, UnitSystem
-from .dynamics import SPIN_PAIRS, PhaseSpaceGaussian, SpinorWavepacket
+from .dynamics import BRANCHES, PhaseSpaceGaussian, SpinorWavepacket, pair_indices
 from .numerics import gauss_legendre_nodes, gauss_window, osc_gauss_window
 
 DEFAULT_PIXEL_DELTA_M = 1e-6
@@ -66,8 +66,7 @@ class DensityMatrixField:
     params: PhysicalParams
     t: float  # s
     x: np.ndarray  # m, strictly increasing
-    amp_plus: np.ndarray  # c₊φ₊(x), 1/√m
-    amp_minus: np.ndarray
+    amps: np.ndarray  # (2, len(x)): row i is c_s φ_s(x), s = BRANCHES[i], 1/√m
 
 
 def density_matrix(state: SpinorWavepacket, grid) -> DensityMatrixField:
@@ -80,15 +79,12 @@ def density_matrix(state: SpinorWavepacket, grid) -> DensityMatrixField:
         raise ValueError("position grid must be a finite 1D array")
     if x.size > 1 and not np.all(np.diff(x) > 0):
         raise ValueError("position grid must be strictly increasing")
-    amp_plus = np.empty(x.size, dtype=complex)
-    amp_minus = np.empty(x.size, dtype=complex)
+    amps = np.empty((len(BRANCHES), x.size), dtype=complex)
     for s in range(0, x.size, _RHO_CHUNK):
         chunk = x[s:s + _RHO_CHUNK]
-        amp_plus[s:s + chunk.size] = state.amplitude("+", chunk)
-        amp_minus[s:s + chunk.size] = state.amplitude("-", chunk)
-    return DensityMatrixField(
-        params=state.params, t=state.t, x=x, amp_plus=amp_plus, amp_minus=amp_minus,
-    )
+        for row, b in zip(amps, BRANCHES):
+            row[s:s + chunk.size] = state.amplitude(b, chunk)
+    return DensityMatrixField(params=state.params, t=state.t, x=x, amps=amps)
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +93,9 @@ def density_matrix(state: SpinorWavepacket, grid) -> DensityMatrixField:
 
 def _wigner_block(state: SpinorWavepacket, pair: str) -> PhaseSpaceGaussian:
     """The Wigner matrix's block for one spin pair: the bare block times c_s c_o*."""
-    form = state.block_form(pair)
-    weight = state.params.weight(pair[0]) * np.conj(state.params.weight(pair[1]))
-    return replace(form, amp=complex(weight * form.amp))
+    form, c = state.block_form(pair), state.params.weights
+    s, o = pair_indices(pair)
+    return replace(form, amp=complex(c[s] * np.conj(c[o]) * form.amp))
 
 
 def _lay_blocks(state: SpinorWavepacket, q: np.ndarray, p: np.ndarray, evaluate,
@@ -229,8 +225,9 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
     # chunks per product.  A block's four products are written from slices
     # of rho's own rows, which stay in [lo, hi] since j <= m; the lags past m
     # in its last chunk are zeroed.
-    mag = np.abs(rho.amp_plus)
-    np.maximum(mag, np.abs(rho.amp_minus), out=mag)
+    amp_p, amp_m = rho.amps
+    mag = np.abs(amp_p)
+    np.maximum(mag, np.abs(amp_m), out=mag)
     lo, hi = np.flatnonzero(mag >= np.finfo(float).eps * mag.max())[[0, -1]]
     del mag  # not held through the transform
     m = np.minimum(idx - lo, hi - idx)  # < 0: the row lies outside the support
@@ -253,10 +250,10 @@ def wigner_numeric(rho: DensityMatrixField, q, p) -> WignerMatrixField:
             up, down = slice(i + j0, i + j0 + n), slice(i - j0 - n + 1, i - j0 + 1)
             r = lags[:4 * span].reshape(2, 2, span)  # ++, +-, -+, -- rows
             # r[1] takes conj of the amplitudes at q - y/2, then both rows times those at q + y/2
-            np.conj(rho.amp_plus[down][::-1], out=r[1, 0, :n])
-            np.conj(rho.amp_minus[down][::-1], out=r[1, 1, :n])
-            np.multiply(rho.amp_plus[up], r[1, :, :n], out=r[0, :, :n])
-            np.multiply(rho.amp_minus[up], r[1, :, :n], out=r[1, :, :n])
+            np.conj(amp_p[down][::-1], out=r[1, 0, :n])
+            np.conj(amp_m[down][::-1], out=r[1, 1, :n])
+            np.multiply(amp_p[up], r[1, :, :n], out=r[0, :, :n])
+            np.multiply(amp_m[up], r[1, :, :n], out=r[1, :, :n])
             r[:, :, n:] = 0.0
             r = r.reshape(4 * nb, k)
             if b0 == 0:
@@ -347,15 +344,10 @@ class WignerMatrixField:
     source: SpinorWavepacket | None = None
 
     def block(self, pair: str) -> np.ndarray:
-        if pair == "++":
-            return self.w_pp
-        if pair == "--":
-            return self.w_mm
-        if pair == "+-":
-            return self.w_pm
-        if pair == "-+":
-            return np.conj(self.w_pm)
-        raise ValueError(f"pair must be one of {SPIN_PAIRS}, got {pair!r}")
+        s, o = pair_indices(pair)
+        if s == o:
+            return (self.w_pp, self.w_mm)[s]
+        return self.w_pm if s < o else np.conj(self.w_pm)
 
     def _closed_form(self) -> SpinorWavepacket:
         """The Gaussian state behind the field; raises for sampled fields."""
@@ -560,7 +552,8 @@ def coarse_position_density(
 ) -> np.ndarray:
     """Δ-window average of |c_α φ_α|² at positions q (m): the reference curve
     for the position marginal of a coarse-grained field; `pair` is '++' or '--'."""
-    if pair not in ("++", "--"):
+    s, o = pair_indices(pair)
+    if s != o:
         raise ValueError(f"pair must be a diagonal pair '++' or '--', got {pair!r}")
     Delta = float(Delta)
     if not (0.0 < Delta < math.inf):
@@ -568,6 +561,6 @@ def coarse_position_density(
     u = state.units
     qa = np.asarray(q, dtype=float) / u.length
     hw = 0.5 * (Delta / u.length)
-    f = state.density_form(pair[0])
+    f = state.density_form(BRANCHES[s])
     mass = f.C * gauss_window(qa - hw, qa + hw, f.mu, f.a)
     return mass / (2.0 * hw) / u.length

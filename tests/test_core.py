@@ -72,11 +72,8 @@ def test_non_finite_parameters_are_rejected(override):
 
 
 def test_weight_lookup(silver):
-    assert silver.weight("+") == silver.c_plus
-    assert silver.weight("-") == silver.c_minus
+    assert silver.weights == (silver.c_plus, silver.c_minus)
     assert abs(silver.c_plus) ** 2 + abs(silver.c_minus) ** 2 == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        silver.weight("x")
 
 
 def test_parse_config_text_basics():

@@ -164,7 +164,7 @@ def test_branch_overlap_closed_form(silver, scales):
 def _completed_overlap(state):
     """<phi_-|phi_+> by completing the 1-D square about the midpoint of the
     two centres: the closed form that the cross block's integral replaced."""
-    p, m = state.plus, state.minus
+    p, m = state.branches
     dx = p.center - m.center
     A = p.alpha + np.conj(m.alpha)
     B = (p.alpha - np.conj(m.alpha)) * dx + 1j * (p.mean_momentum - m.mean_momentum)
@@ -220,3 +220,34 @@ def test_non_finite_times_are_rejected(silver, bad):
         sg.evolve_free_after_field(silver, bad, 1e-5)
     with pytest.raises(ValueError):
         sg.evolve_free_after_field(silver, 1e-6, bad)
+
+
+# every public call that takes a branch or spin-pair label: f(state, label)
+# and the kind of label it takes
+LABEL_CALLS = {
+    "amplitude": (lambda s, b: s.amplitude(b, [0.0]), "branch"),
+    "density": (lambda s, b: s.density(b, [0.0]), "branch"),
+    "center": (lambda s, b: s.center(b), "branch"),
+    "variance": (lambda s, b: s.variance(b), "branch"),
+    "branch": (lambda s, b: s.branch(b), "branch"),
+    "density_form": (lambda s, b: s.density_form(b), "branch"),
+    "block_form": (lambda s, pair: s.block_form(pair), "pair"),
+    "block": (lambda s, pair: sg.wigner_analytic(s, [0.0], [0.0]).block(pair), "pair"),
+    "marginal_position": (
+        lambda s, pair: sg.wigner_analytic(s, [0.0], [0.0]).marginal_position(pair), "pair"),
+    "coarse_position_density": (
+        lambda s, pair: sg.coarse_position_density(s, [0.0], 1e-6, pair), "pair"),
+}
+MALFORMED = {"branch": ["", "x", "+-x", "++-", "++"], "pair": ["", "x", "+-x", "++-", "+"]}
+
+
+@pytest.mark.parametrize("call, label", [(call, label) for call, (_, kind) in LABEL_CALLS.items()
+                                         for label in MALFORMED[kind]])
+def test_malformed_label_raises(state_early, call, label):
+    # dynamics' branch table alone reads a label and refuses a malformed
+    # one; block_form('+-x') and marginal_position('++-') used to return the
+    # '+-' and '++' blocks, and density_form('') and block_form('+') raised
+    # IndexError
+    f, kind = LABEL_CALLS[call]
+    with pytest.raises(ValueError, match=f"{kind} must be"):
+        f(state_early, label)

@@ -1,6 +1,7 @@
-"""Source hygiene: every module-level import in the package is used, and
+"""Source hygiene: every module-level import in the package is used,
 every module-level definition, method and property has a caller outside
-the unit tests or is listed as waiting on an open item for one."""
+the unit tests or is listed as waiting on an open item for one, and only
+dynamics reads a branch or spin-pair label."""
 
 import ast
 import functools
@@ -43,7 +44,6 @@ AWAITING_METHODS = {
 SHARED_NAMES = {
     "accel",  # PhysicalParams.accel: derive_scales and evolve_in_field read params.accel
     "amplitude",  # SpinorWavepacket.amplitude: density_matrix, oracle._branch_error
-    "branch",  # SpinorWavepacket.branch: its amplitude; GridState.branch: oracle._branch_error
     "center",  # SpinorWavepacket.center: density_grid_for_wigner
     "value",  # GaussianBranch.value: SpinorWavepacket.amplitude;
     # PhaseSpaceGaussian.value: wigner_analytic passes it to _lay_blocks
@@ -269,3 +269,30 @@ def test_methods_and_properties_are_referenced(path):
     dead = sorted(f"{cls}.{name}" for cls, name in methods if name not in read)
     awaiting = sorted(AWAITING_METHODS.get(path.name, ()))
     assert dead == awaiting, f"{path.name}: methods and properties without a caller: {dead}"
+
+
+LABELS = {"+", "-", "++", "--", "+-", "-+"}
+# dynamics' branch_index and pair_indices parse every label
+OTHER_MODULES = [p for p in MODULES if p.name != "dynamics.py"]
+
+
+def _is_label(node):
+    """True for a branch or pair label literal, or a tuple, list or set of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_label, node.elts))
+    return isinstance(node, ast.Constant) and node.value in LABELS
+
+
+@pytest.mark.parametrize("path", OTHER_MODULES, ids=[p.name for p in OTHER_MODULES])
+def test_only_dynamics_compares_labels(path):
+    # ==, !=, in and not in against a label literal is how a module decodes
+    # a label itself instead of asking dynamics' branch table
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)
+        and any(map(_is_label, [node.left, *node.comparators]))
+    ]
+    assert not found, f"{path.name} compares against branch labels: {found}"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sgcoarse as sg
-from sgcoarse.dynamics import branch_sign
+from sgcoarse.dynamics import BRANCHES, SIGNS
 
 
 def test_closed_forms_within_tolerance(oracle_report):
@@ -67,8 +67,8 @@ def test_convergence_study_takes_448_steps(silver, scales, monkeypatch):
 def test_convergence_study_reads_the_minus_branch(silver, scales, monkeypatch):
     error = sg.oracle._branch_error
 
-    def nan_minus(grid, exact, branch):
-        return math.nan if branch == "-" else error(grid, exact, branch)
+    def nan_minus(grid, exact, i):
+        return math.nan if BRANCHES[i] == "-" else error(grid, exact, i)
 
     monkeypatch.setattr(sg.oracle, "_branch_error", nan_minus)
     errs, orders = sg.convergence_order(silver, scales.tau3, n=256)
@@ -89,7 +89,7 @@ def test_grid_state_diagnostics(silver, scales, units):
     assert grid.boundary_mass() < 1e-15
     assert grid.step_norm_drift < 1e-12
     want = sg.evolve_in_field(silver, scales.tau3).center("+") / units.length
-    density = np.abs(grid.branch("+")) ** 2
+    density = np.abs(grid.psi[0]) ** 2
     assert np.sum(grid.x * density) / np.sum(density) == pytest.approx(want, abs=1e-8)
 
 
@@ -147,19 +147,18 @@ def _reference_step_split_operator(state, dt):
     a = state.params.accel / state.units.accel
     k = 2.0 * np.pi * np.fft.fftfreq(state.x.size, d=state.dx)
     drift = np.exp(-1j * k**2 * dts / 2.0)
-    new = {}
+    new = []
     drift_max = state.step_norm_drift
-    for branch in "+-":
-        psi = state.branch(branch)
-        kick = np.exp(1j * branch_sign(branch) * a * state.x * dts / 2.0)
+    for psi, sign in zip(state.psi, SIGNS):
+        kick = np.exp(1j * sign * a * state.x * dts / 2.0)
         out = kick * psi
         out = np.fft.ifft(np.fft.fft(out) * drift)
         out = kick * out
         n_in = np.sum(np.abs(psi) ** 2)
         n_out = np.sum(np.abs(out) ** 2)
         drift_max = max(drift_max, float(abs(n_out / n_in - 1.0)))
-        new[branch] = out
-    psi = np.stack([new["+"], new["-"]])
+        new.append(out)
+    psi = np.stack(new)
     return sg.GridState(
         params=state.params, units=state.units, x=state.x, dx=state.dx, t=state.t + dts,
         psi=psi, norms=np.sum(np.abs(psi) ** 2, axis=-1), step_norm_drift=drift_max,
@@ -189,9 +188,9 @@ def test_step_matches_per_branch_reference(force, dt_later):
         new = sg.step_split_operator(new, dt)
         ref = _reference_step_split_operator(ref, dt)
     assert new.t == ref.t
-    for branch in "+-":
-        peak = np.max(np.abs(ref.branch(branch)))
-        assert np.max(np.abs(new.branch(branch) - ref.branch(branch))) <= 1e-12 * peak
+    for i in range(2):
+        peak = np.max(np.abs(ref.psi[i]))
+        assert np.max(np.abs(new.psi[i] - ref.psi[i])) <= 1e-12 * peak
 
 
 def test_step_norm_drift_is_measured_each_step(silver, scales):
@@ -200,9 +199,9 @@ def test_step_norm_drift_is_measured_each_step(silver, scales):
     for _ in range(5):
         states.append(sg.step_split_operator(states[-1], dt))
     want = max(
-        abs(float(np.sum(np.abs(b.branch(s)) ** 2) / np.sum(np.abs(a.branch(s)) ** 2)) - 1.0)
+        abs(float(np.sum(np.abs(b.psi[i]) ** 2) / np.sum(np.abs(a.psi[i]) ** 2)) - 1.0)
         for a, b in zip(states, states[1:])
-        for s in "+-"
+        for i in range(2)
     )
     assert abs(states[-1].step_norm_drift - want) <= 1e-16
 

@@ -17,6 +17,7 @@ from scipy import integrate
 
 import sgcoarse as sg
 from sgcoarse import cli
+from sgcoarse.dynamics import BRANCHES, SIGNS, SPIN_PAIRS, pair_indices
 from sgcoarse.numerics import gauss_legendre_nodes, osc_gauss_window
 from sgcoarse.phase_space import (
     _LAG_BLOCK,
@@ -24,7 +25,6 @@ from sgcoarse.phase_space import (
     _RHO_CHUNK,
     _SUPPORT_SIGMAS,
     _Y_CHUNK,
-    SPIN_PAIRS,
     _box_average_form,
     _numeric_spacing_bound,
 )
@@ -109,12 +109,13 @@ def _mpmath_block(state, pair, qh, ph):
         t = mpmath.mpf(state.t / u.time)
         accel = mpmath.mpf(state.params.accel / u.accel)
         d = 1 + 1j * t
-        coef = {}
-        for b, a_s in (("+", accel), ("-", -accel)):
-            coef[b] = (mpmath.mpc(state.params.weight(b)) * mpmath.pi ** mpmath.mpf(-0.25)
-                       / mpmath.sqrt(d), 1 / (2 * d), a_s * t * (t - 2j) / (2 * d),
-                       a_s**2 * t**3 * (4j - t) / (24 * d))
-        (ns, als, bes, gas), (no, alo, beo, gao) = coef[pair[0]], coef[pair[1]]
+        coef = []
+        for c, sign in zip(state.params.weights, SIGNS):
+            a_s = sign * accel
+            coef.append((mpmath.mpc(c) * mpmath.pi ** mpmath.mpf(-0.25)
+                         / mpmath.sqrt(d), 1 / (2 * d), a_s * t * (t - 2j) / (2 * d),
+                         a_s**2 * t**3 * (4j - t) / (24 * d)))
+        (ns, als, bes, gas), (no, alo, beo, gao) = (coef[i] for i in pair_indices(pair))
         alo, beo, gao, no = (mpmath.conj(v) for v in (alo, beo, gao, no))
         out = []
         for q, p in zip(qh, ph):
@@ -150,7 +151,8 @@ def test_closed_form_keeps_its_digits_at_long_times(silver, t):
         field = sg.wigner_analytic(state, q, p)
         got = np.diagonal(field.block(pair)) * silver.hbar
         want = _mpmath_block(state, pair, q / u.length, p / u.momentum)
-        peak = abs(silver.weight(pair[0]) * silver.weight(pair[1])) / np.pi
+        s, o = pair_indices(pair)
+        peak = abs(silver.weights[s] * silver.weights[o]) / np.pi
         assert float(np.max(np.abs(got - want))) < LONG_TIME_BOUNDS[t] * peak
 
 
@@ -211,7 +213,7 @@ def _reference_wigner_numeric(rho, q, p):
     dx = float(x[1] - x[0])
     idx = np.rint((q - x[0]) / dx).astype(int)
     out = {pair: np.empty((q.size, p.size), dtype=complex) for pair in SPIN_PAIRS}
-    amps = {"+": rho.amp_plus, "-": rho.amp_minus}
+    amps = dict(zip(BRANCHES, rho.amps))
     for row, i in enumerate(idx):
         m = min(i, x.size - 1 - i)
         j = np.arange(-m, m + 1)
@@ -283,7 +285,7 @@ def test_folded_numeric_transform_matches_the_per_row_loop(silver, weights):
         compare(sg.density_matrix(state, x), rows, p_row)
     n = 28 * k + 1
     rho = sg.density_matrix(state, dx * (np.arange(n) - 0.5 * (n - 1)))
-    mag = np.maximum(np.abs(rho.amp_plus), np.abs(rho.amp_minus))
+    mag = np.max(np.abs(rho.amps), axis=0)
     lo, hi = np.flatnonzero(mag >= np.finfo(float).eps * mag.max())[[0, -1]]
     assert lo >= 2 * k and n - 1 - hi >= 2 * k
     field = compare(rho, [lo - 1, lo, lo + 1, n // 2, hi, hi + 1], p)
@@ -305,7 +307,7 @@ def test_numeric_transform_of_a_grid_inside_the_packet(silver):
     for step, half in [(3.5e-9, 3 * k + 5), (1e-10, blk + 3)]:
         n = 2 * half + 1
         rho = sg.density_matrix(state, step * (np.arange(n) - half))
-        mag = np.maximum(np.abs(rho.amp_plus), np.abs(rho.amp_minus))
+        mag = np.max(np.abs(rho.amps), axis=0)
         assert mag.min() > 1e-3 * mag.max()  # lo = 0 and hi = n - 1
         q = rho.x[[half, half - 1, half + 1, 0, 1, n - 2, n - 1]]
         field = sg.wigner_numeric(rho, q, p)
@@ -323,8 +325,7 @@ def test_density_matrix_samples_the_amplitudes_in_chunks(state_early):
     n = 5 * _RHO_CHUNK // 2
     x = 1e-9 * (np.arange(n) - 0.5 * n)
     rho = sg.density_matrix(state_early, x)
-    assert np.array_equal(rho.amp_plus, state_early.amplitude("+", x))
-    assert np.array_equal(rho.amp_minus, state_early.amplitude("-", x))
+    assert np.array_equal(rho.amps, [state_early.amplitude(b, x) for b in BRANCHES])
 
 
 @pytest.mark.parametrize("j", [0, _RHO_CHUNK - 1, _RHO_CHUNK, 2 * _RHO_CHUNK, -1],
