@@ -16,11 +16,14 @@ closed forms to roundoff at any stable dt, while the complex amplitudes
 show textbook second-order convergence, which is what the verification
 report measures.  dt defaults are solved from that phase bound.
 
-Both branches advance together as one (2, n) array: one forward and one
-inverse FFT per step.  The kick and drift factors depend only on the scaled
+Both branches advance together as one (2, n) array.  A step costs one
+batched forward and one batched inverse FFT, three elementwise multiplies by
+unimodular factors (kick, drift, kick) and one pairwise norm per row; the
+FFTs take most of it.  The kick and drift factors depend only on the scaled
 dt, the acceleration and the grid, and a step never changes the last two, so
 a state carries them to the next step and they are rebuilt only when dt
-changes.
+changes.  Both are held at the state's (2, n) shape, so no multiply
+broadcasts.
 """
 
 from __future__ import annotations
@@ -48,12 +51,14 @@ class _StepPlan:
 
     dts: float
     kick: np.ndarray  # (2, n): half-kick of the + and - branch
-    drift: np.ndarray  # (n,): spectral free flight over dts
+    drift: np.ndarray  # (2, n): spectral free flight over dts, at the state's shape
 
 
 def _branch_norms(psi: np.ndarray) -> np.ndarray:
-    """Σ|ψ|² of each row, by numpy's pairwise sum (roundoff ~ eps·log n)."""
-    return np.sum(np.abs(psi) ** 2, axis=-1)
+    """Σ|ψ|² of each row as numpy's pairwise sum of Re² and Im² over the row's
+    2n interleaved floats, with no hypot per element: relative roundoff
+    O(eps·log 2n), 1.4e-16 against math.fsum at n = 4096."""
+    return np.add.reduce(np.square(psi.view(float)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -121,15 +126,19 @@ def step_split_operator(state: GridState, dt: float) -> GridState:
         k = 2.0 * np.pi * np.fft.fftfreq(state.x.size, d=state.dx)
         # V_s = -a_s x
         kick = np.stack([np.exp(1j * s * accel * state.x * dts / 2.0) for s in SIGNS])
-        plan = _StepPlan(dts=dts, kick=kick, drift=np.exp(-1j * k**2 * dts / 2.0))
+        drift = np.tile(np.exp(-1j * k**2 * dts / 2.0), (len(SIGNS), 1))
+        plan = _StepPlan(dts=dts, kick=kick, drift=drift)
     out = plan.kick * state.psi
     np.fft.fft(out, axis=-1, out=out)
     out *= plan.drift
     np.fft.ifft(out, axis=-1, out=out)
     out *= plan.kick
     norms = _branch_norms(out)
-    # np.max, unlike max(), keeps a NaN drift from any step
-    drift_max = float(np.max(np.abs(norms / state.norms - 1.0), initial=state.step_norm_drift))
+    drifts = [state.step_norm_drift, *np.abs(norms / state.norms - 1.0).tolist()]
+    # max() passes over a NaN that is not its first argument, but a sum of
+    # nonnegative drifts is NaN exactly when one of them is, so a NaN drift
+    # from any step is kept
+    drift_max = math.nan if math.isnan(sum(drifts)) else max(drifts)
     return GridState(
         params=state.params,
         units=state.units,
@@ -252,8 +261,11 @@ def verify_closed_forms(
     half_width: float = DEFAULT_HALF_WIDTH,
 ) -> OracleReport:
     """Compare grid evolution against the closed-form branches at each t."""
+    times = list(t_list)
+    if not times:
+        raise ValueError("t_list is empty: verify_closed_forms needs at least one time")
     rows = []
-    for t in t_list:
+    for t in times:
         grid = evolve_grid(params, t, dt=dt, n=n, half_width=half_width)
         exact = evolve_in_field(params, t)
         ov_exact = exact.branch_overlap()
@@ -278,6 +290,8 @@ def convergence_order(
 ) -> tuple[list[float], list[float]]:
     """Worse-branch L2 errors (np.max: NaN if either is) for dt0 = t/64,
     default_dt's largest step, dt0/2 and dt0/4, and the orders between them."""
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"convergence_order needs a positive finite time t, got t={t}")
     units = UnitSystem.for_params(params)
     dt0 = (t / units.time / 64.0) * units.time  # default_dt's t/64, bit for bit
     errs = []

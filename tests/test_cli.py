@@ -212,6 +212,22 @@ def test_verify_passes(tmp_path, silver_config, silver, scales, convergence,
     assert worst != max(convergence[1], key=lambda order: abs(order - 2.0))
 
 
+def test_default_verify_takes_7387_strang_steps(tmp_path, run_cli, monkeypatch):
+    # 64 + 64 + 6811 steps for the three default rows, then the 64 + 128 + 256
+    # of the convergence study: one call per Strang step, both rows at once
+    shapes = []
+    step = sg.oracle.step_split_operator
+
+    def counted(state, dt):
+        shapes.append(state.psi.shape)
+        return step(state, dt)
+
+    monkeypatch.setattr(sg.oracle, "step_split_operator", counted)
+    assert run_cli(["verify", "--out", str(tmp_path)]) == 0
+    assert len(shapes) == 7387
+    assert set(shapes) == {(2, 4096)}
+
+
 @pytest.mark.parametrize("coarse_dt", ["0", "1"])
 def test_verify_replays_a_file_with_the_retired_coarse_dt_line(tmp_path, run_cli, coarse_dt):
     # verify.csv files written while verify had --coarse-dt carry its header

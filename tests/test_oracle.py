@@ -165,10 +165,29 @@ def _reference_step_split_operator(state, dt):
     )
 
 
+def _broadcast_step_split_operator(state, dt):
+    """The batched step in its broadcast form, every factor rebuilt: an (n,)
+    drift broadcast over both rows and the norms from np.abs, the same
+    arithmetic on psi as step_split_operator."""
+    dts = dt / state.units.time
+    a = state.params.accel / state.units.accel
+    k = 2.0 * np.pi * np.fft.fftfreq(state.x.size, d=state.dx)
+    kick = np.stack([np.exp(1j * s * a * state.x * dts / 2.0) for s in SIGNS])
+    out = kick * state.psi
+    np.fft.fft(out, axis=-1, out=out)
+    out *= np.exp(-1j * k**2 * dts / 2.0)
+    np.fft.ifft(out, axis=-1, out=out)
+    out *= kick
+    norms = np.sum(np.abs(out) ** 2, axis=-1)
+    drift_max = float(np.max(np.abs(norms / state.norms - 1.0), initial=state.step_norm_drift))
+    return sg.GridState(
+        params=state.params, units=state.units, x=state.x, dx=state.dx, t=state.t + dts,
+        psi=out, norms=norms, step_norm_drift=drift_max,
+    )
+
+
 _F = sg.PhysicalParams.silver().force
-
-
-@pytest.mark.parametrize(
+_STEP_CASES = pytest.mark.parametrize(
     "force, dt_later",
     [
         (_F, None),  # silver
@@ -178,7 +197,10 @@ _F = sg.PhysicalParams.silver().force
     ],
     ids=["silver", "negative-F", "zero-F", "dt-change"],
 )
-def test_step_matches_per_branch_reference(force, dt_later):
+
+
+def _step_pair(force, dt_later, reference):
+    """200 steps of step_split_operator and of `reference` from one state."""
     params = sg.PhysicalParams.silver(force=force)
     dt = 2.5e-9
     new = ref = sg.make_grid_state(params, n=1024)
@@ -186,11 +208,45 @@ def test_step_matches_per_branch_reference(force, dt_later):
         if step == 100 and dt_later is not None:
             dt = dt_later
         new = sg.step_split_operator(new, dt)
-        ref = _reference_step_split_operator(ref, dt)
+        ref = reference(ref, dt)
     assert new.t == ref.t
+    return new, ref
+
+
+@_STEP_CASES
+def test_step_matches_per_branch_reference(force, dt_later):
+    new, ref = _step_pair(force, dt_later, _reference_step_split_operator)
     for i in range(2):
         peak = np.max(np.abs(ref.psi[i]))
         assert np.max(np.abs(new.psi[i] - ref.psi[i])) <= 1e-12 * peak
+
+
+@_STEP_CASES
+def test_step_keeps_the_bits_of_the_broadcast_step(force, dt_later):
+    # the (2, n) drift multiplies the same values as the broadcast (n,) one,
+    # and the norms only read psi, so psi is the same to the last bit
+    new, ref = _step_pair(force, dt_later, _broadcast_step_split_operator)
+    assert np.array_equal(new.psi.view(float), ref.psi.view(float))
+
+
+def test_norms_are_a_pairwise_sum_of_squares(silver, scales):
+    # Σ(Re² + Im²) over 8192 floats: pairwise roundoff against the exact sum
+    grid = sg.evolve_grid(silver, scales.tau3)
+    assert grid.psi.shape == (2, 4096)
+    for i in range(2):
+        want = math.fsum(v * v for v in grid.psi[i].view(float).tolist())
+        assert abs(grid.norms[i] - want) <= 1e-15 * want
+
+
+def test_verify_refuses_an_empty_time_list(silver):
+    with pytest.raises(ValueError, match="t_list is empty"):
+        sg.verify_closed_forms(silver, [], n=64)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-9, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+def test_convergence_study_refuses_a_nonpositive_time(silver, bad):
+    with pytest.raises(ValueError, match="positive finite time t, got t="):
+        sg.convergence_order(silver, bad, n=64)
 
 
 def test_step_norm_drift_is_measured_each_step(silver, scales):
