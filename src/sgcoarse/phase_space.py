@@ -26,9 +26,10 @@ Every term is read off the branches about the block's own centre and |amp|
 comes from the normalisation, so no term grows with Ft only to cancel.
 
 Coarse graining averages each entry over a Δ×δ phase-space pixel.  The
-q-side integral of envelope × oscillation is done with the damped-erf window
-from numerics (stable at arbitrary wavenumber); the p-side is Gauss-Legendre
-restricted to the overlap of the window with the Gaussian support.
+q-side integral of envelope × oscillation is the damped-erf window from
+numerics (stable at arbitrary wavenumber); the p-side is one Gauss-Legendre
+quadrature per q row over the Gaussian support, cut at every window edge, so
+each window is the direct sum of the segments it covers.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ from .numerics import gauss_legendre_nodes, gauss_window, osc_gauss_window
 DEFAULT_PIXEL_DELTA_M = 1e-6
 DEFAULT_CELL_RATIO = 100.0
 _SUPPORT_SIGMAS = 12.0  # Gaussian reach kept in window intersections
-_MAX_PANELS = 64  # cap on a pixel's momentum panels; past it coarse_grain warns
 _RHO_PAD_WIDTHS = 14.0  # packet widths the rho grid reaches past the q axis
 _FRINGE_PERIODS = 6.0  # fringe periods spanned by measure_oscillation_scale
 _FRINGE_SAMPLES = 8192
 _Y_CHUNK = 256  # lags per phase-table chunk of wigner_numeric
 _LAG_BLOCK = 32  # chunks per row GEMM of wigner_numeric
 _RHO_CHUNK = 8192  # nodes per chunk of density_matrix's sampling and of grid-step checks
+_WINDOW_CHUNK = 8192  # integrand values (q rows × P nodes) per window call of coarse_grain
 
 
 # ---------------------------------------------------------------------------
@@ -417,64 +418,60 @@ def _box_average_form(
     hu: float,
     hv: float,
 ) -> np.ndarray:
-    """Window average of the block over [q±hu]×[p±hv], scaled units.
+    """Window average of the block over [q±hu]×[p±hv] on the mesh of the q
+    axis qh and the p axis ph, scaled units, shape (qh.size, ph.size).
 
     With z = (Q, P) about the block's centre and G = ½Σ⁻¹, the u-integral
     closes at s = Q + shear·P, shear = G_qp/G_qq = -Σqp/Σpp: it is
     exp(-P²/(2Σpp) + iκP)·J(s-hu, s+hu), where J is the damped oscillatory
     erf window of ∫exp(-G_qq w² + i kq w) dw and κ = kp - kq·shear.  The
-    outer v-integral is Gauss-Legendre on the overlap of the window with
-    that Gaussian's support.  Neither factor exceeds its peak, so a
-    suppressed pixel underflows to zero.  qh, ph broadcast against each other.
+    P-integral is one quadrature per q row: the support, _SUPPORT_SIGMAS
+    widths √(2Σpp) each side, is cut at every window edge inside it, each
+    segment takes composite Gauss-Legendre panels, and a window is the direct
+    sum of the segments it covers, so one that misses the support is exactly
+    zero.  Neither factor exceeds its peak, so a suppressed pixel underflows
+    to zero.
     """
     gqq = form.precision[0]
     env = 2.0 * form.spp  # the P-envelope is exp(-P²/env)
     shear = -form.sqp / form.spp
-    kappa = form.kp - form.kq * shear  # v-phase rate
-    qc, pc = np.broadcast_arrays(qh - form.q0, ph - form.p0)
+    kappa = form.kp - form.kq * shear  # P-phase rate
+    qc, pc = np.ravel(qh) - form.q0, np.ravel(ph) - form.p0
     reach = _SUPPORT_SIGMAS * math.sqrt(env)
-    lo = np.maximum(-hv, -pc - reach)
-    hi = np.minimum(hv, -pc + reach)
-    # Cells whose window misses the support are exactly zero; the node loop
-    # runs on the live cells only, flattened.
-    live = hi > lo
-    qc, pc, lo, hi = qc[live], pc[live], lo[live], hi[live]
+    cuts = np.unique(np.clip(np.concatenate([pc - hv, pc + hv, [-reach, reach]]), -reach, reach))
+    cover = (cuts[:-1, None] >= pc - hv) & (cuts[1:, None] <= pc + hv)  # window j covers segment k
+    used = cover.any(axis=1)  # a segment no window covers takes no nodes
+    lo, width, cover = cuts[:-1][used], np.diff(cuts)[used], cover[used].astype(float)
 
-    # Composite Gauss-Legendre in v: panel width short enough to resolve
-    # both the Gaussian envelope (scale sqrt(env)) and the v-phase rate.
-    span = min(2.0 * hv, 2.0 * reach)
-    panel = 2.0 * math.sqrt(env)
-    if kappa != 0.0:
-        panel = min(panel, 8.0 / abs(kappa))
-    needed = max(1, math.ceil(span / panel))
-    n_panels = min(needed, _MAX_PANELS)
-    if needed > n_panels:
-        # stacklevel 5 is coarse_grain's caller (via its lambda and _lay_blocks)
-        warnings.warn(
-            f"coarse grain under-resolved: a pixel's momentum phase needs {needed} "
-            f"Gauss-Legendre panels, {n_panels} are used", RuntimeWarning, stacklevel=5)
+    # 12-node Gauss-Legendre panels short enough to resolve both the Gaussian
+    # envelope (scale sqrt(env)) and the P-phase rate, n_panels a segment
+    panel = min(2.0 * math.sqrt(env), 8.0 / abs(kappa) if kappa else math.inf)
+    n_panels = np.maximum(1, np.ceil(width / panel)).astype(int)
+    seg = np.repeat(np.arange(width.size), n_panels)  # segment of each panel
+    rank = np.arange(seg.size) - np.searchsorted(seg, seg)  # panel's place in its segment
     xg, wg = gauss_legendre_nodes(0.0, 1.0, 12)
-    offsets = [(k + xk) / n_panels for k in range(n_panels) for xk in xg]
-    weights = [wk / n_panels for _ in range(n_panels) for wk in wg]
+    step = (width / n_panels)[seg, None]
+    pv = lo[seg, None] + step * (rank[:, None] + xg)  # (panels, nodes)
+    wv = step * wg * np.exp(-pv * pv / env + 1j * kappa * pv)
 
-    acc = np.zeros(qc.shape, dtype=complex)
-    width = hi - lo
-    for xk, wk in zip(offsets, weights):
-        pv = pc + lo + width * xk
-        s = qc + shear * pv
+    # one window call per chunk of whole panels, about _WINDOW_CHUNK values
+    sums = np.zeros((qc.size, width.size), dtype=complex)
+    chunk = max(1, _WINDOW_CHUNK // max(1, qc.size * xg.size))
+    for k in range(0, seg.size, chunk):
+        s = qc[:, None, None] + shear * pv[k:k + chunk]
         j = osc_gauss_window(s - hu, s + hu, gqq, form.kq)
-        acc = acc + (wk * width) * np.exp(-pv * pv / env + 1j * kappa * pv) * j
-    out = np.zeros(live.shape, dtype=complex)
-    out[live] = form.amp / (2.0 * np.pi * math.sqrt(form.det)) * acc / (4.0 * hu * hv)
-    return out
+        np.add.at(sums, (slice(None), seg[k:k + chunk]), np.sum(j * wv[k:k + chunk], axis=2))
+    sums *= form.amp / (2.0 * np.pi * math.sqrt(form.det)) / (4.0 * hu * hv)
+    return sums @ cover
 
 
 def coarse_grain(field: WignerMatrixField, pix: CoarsePixelSpec) -> WignerMatrixField:
     """Average every Wigner matrix entry over a Δ×δ pixel window.
 
-    The average is taken in closed form over the field's Gaussian source
-    (exact up to the Legendre momentum quadrature), so the field must come
-    from the closed form; numeric and coarse fields raise ValueError.
+    The average is taken in closed form over the field's Gaussian source,
+    exact up to one Gauss-Legendre momentum quadrature per q row that is cut
+    at every window edge, so the field must come from the closed form;
+    numeric and coarse fields raise ValueError.
     """
     state = field._closed_form()
     hu = 0.5 * (pix.Delta / state.units.length)

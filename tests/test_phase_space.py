@@ -18,12 +18,9 @@ from scipy import integrate
 import sgcoarse as sg
 from sgcoarse import cli
 from sgcoarse.dynamics import BRANCHES, SIGNS, SPIN_PAIRS, pair_indices
-from sgcoarse.numerics import gauss_legendre_nodes, osc_gauss_window
 from sgcoarse.phase_space import (
     _LAG_BLOCK,
-    _MAX_PANELS,
     _RHO_CHUNK,
-    _SUPPORT_SIGMAS,
     _Y_CHUNK,
     _box_average_form,
     _numeric_spacing_bound,
@@ -849,38 +846,6 @@ def test_post_field_fringe_scale_follows_the_exit_time(state_post, silver):
     assert sg.measure_oscillation_scale(state_post) == pytest.approx(want, rel=1e-6)
 
 
-def _reference_box_average_form(form, qh, ph, hu, hv):
-    """Full-grid box average: the node loop runs on every cell and the dead
-    ones are masked to zero at the end."""
-    gqq = form.precision[0]
-    env, shear = 2.0 * form.spp, -form.sqp / form.spp
-    kappa = form.kp - form.kq * shear
-    qc, pc = np.broadcast_arrays(qh - form.q0, ph - form.p0)
-    reach = _SUPPORT_SIGMAS * math.sqrt(env)
-    lo = np.maximum(-hv, -pc - reach)
-    hi = np.minimum(hv, -pc + reach)
-    live = hi > lo
-    lo = np.where(live, lo, 0.0)
-    hi = np.where(live, hi, 0.0)
-    span = min(2.0 * hv, 2.0 * reach)
-    panel = 2.0 * math.sqrt(env)
-    if kappa != 0.0:
-        panel = min(panel, 8.0 / abs(kappa))
-    n_panels = min(max(1, math.ceil(span / panel)), 64)
-    xg, wg = gauss_legendre_nodes(0.0, 1.0, 12)
-    offsets = [(k + xk) / n_panels for k in range(n_panels) for xk in xg]
-    weights = [wk / n_panels for _ in range(n_panels) for wk in wg]
-    acc = np.zeros(live.shape, dtype=complex)
-    width = hi - lo
-    for xk, wk in zip(offsets, weights):
-        pv = pc + lo + width * xk
-        s = qc + shear * pv
-        j = osc_gauss_window(s - hu, s + hu, gqq, form.kq)
-        acc = acc + (wk * width) * np.exp(-pv * pv / env + 1j * kappa * pv) * j
-    norm = form.amp / (2.0 * np.pi * math.sqrt(form.det))
-    return np.where(live, norm * acc, 0.0) / (4.0 * hu * hv)
-
-
 def _scaled_coarse_inputs(state, q, p):
     u = state.units
     pix = sg.CoarsePixelSpec.default()
@@ -888,53 +853,65 @@ def _scaled_coarse_inputs(state, q, p):
             0.5 * (pix.Delta / u.length), 0.5 * (pix.delta / u.momentum))
 
 
-@pytest.mark.parametrize("t", [1e-6, 3e-5])
-def test_live_cell_box_average_is_bit_identical(silver, t):
-    state = sg.evolve_in_field(silver, t)
-    q, p = sg.default_phase_space_grid(silver, t, n_q=128, n_p=128)
-    qh, ph, hu, hv = _scaled_coarse_inputs(state, q, p)
-    for pair in ("++", "--", "+-"):
-        form = state.block_form(pair)
-        got = _box_average_form(form, qh, ph, hu, hv)
-        want = _reference_box_average_form(form, qh, ph, hu, hv)
-        assert got.shape == want.shape == (128, 128)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def test_box_average_with_no_live_or_all_live_cells(silver):
+def test_a_window_that_misses_the_momentum_support_is_exactly_zero(silver):
+    # the pixel reaches ±314 hbar/sigma; windows from 1000 hbar/sigma out
+    # cover no segment of the support, next to windows that do
     state = sg.evolve_in_field(silver, 1e-6)
     hbar_over_sigma = silver.hbar / silver.sigma
     q = np.linspace(-3.0 * silver.sigma, 3.0 * silver.sigma, 8)
-    far = np.linspace(1000.0, 1010.0, 6) * hbar_over_sigma  # the pixel reaches ±314 hbar/sigma
+    far = np.linspace(1000.0, 1010.0, 6) * hbar_over_sigma
     near = np.linspace(-1.0, 1.0, 6) * hbar_over_sigma
-    for p, all_live in ((far, False), (near, True)):
-        qh, ph, hu, hv = _scaled_coarse_inputs(state, q, p)
-        for pair in ("++", "--", "+-"):
-            form = state.block_form(pair)
-            got = _box_average_form(form, qh, ph, hu, hv)
-            want = _reference_box_average_form(form, qh, ph, hu, hv)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            assert np.all(got != 0) if all_live else not np.any(got)
+    qh, ph, hu, hv = _scaled_coarse_inputs(state, q, np.concatenate([near, far, -far]))
+    for pair in ("++", "--", "+-"):
+        got = _box_average_form(state.block_form(pair), qh, ph, hu, hv)
+        assert got.shape == (8, 18)
+        assert np.all(got[:, :6] != 0)
+        assert not np.any(got[:, 6:].view(float))
+        assert not np.any(np.signbit(got[:, 6:].view(float)))
 
 
-@pytest.mark.parametrize("t, needed", [(3e-5, None), (1e-4, 156)])
-def test_coarse_grain_warns_when_its_panel_cap_binds(silver, t, needed):
-    # the cross block's momentum phase needs 14 panels per pixel at 3e-5 s
-    # and 156 at 1e-4 s; past the cap of 64 the average is under-resolved
+def test_windows_that_cover_the_whole_support_are_bit_identical(silver):
+    # at 1e-6 s the default pixel's delta is 407 p steps of the 128x128
+    # default grid, so every window of a row covers the block's whole
+    # momentum support: one segment, one sum, every column the same bits
+    state = sg.evolve_in_field(silver, 1e-6)
+    q, p = sg.default_phase_space_grid(silver, 1e-6, n_q=128, n_p=128)
+    qh, ph, hu, hv = _scaled_coarse_inputs(state, q, p)
+    for pair in ("++", "--", "+-"):
+        got = _box_average_form(state.block_form(pair), qh, ph, hu, hv)
+        assert got.shape == (128, 128) and np.any(got)
+        bits = got.view(np.uint64).reshape(128, 128, 2)
+        assert np.array_equal(bits, np.broadcast_to(bits[:, :1], bits.shape))
+
+
+@pytest.mark.parametrize("t", [3e-5, 1e-4, 3e-4])
+def test_coarse_grain_never_warns(silver, t):
+    # the cross block's momentum phase needs 14 panels a pixel at 3e-5 s,
+    # 156 at 1e-4 s and 1399 at 3e-4 s; each row takes all it needs
     q, p = sg.default_phase_space_grid(silver, t, n_q=32, n_p=32)
     fine = sg.wigner_field(sg.evolve_in_field(silver, t), q, p)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sg.coarse_grain(fine, sg.CoarsePixelSpec.default())
-    caught = [w for w in caught if w.category is RuntimeWarning]
-    messages = [str(w.message) for w in caught]
-    if needed is None:
-        assert messages == []
-    else:
-        assert len(messages) == 1
-        assert caught[0].filename == __file__  # points at coarse_grain's caller
-        assert "under-resolved" in messages[0] and f"needs {needed} " in messages[0]
-        assert f"{_MAX_PANELS} are used" in messages[0]
+    assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_coarse_grain_memory_stays_bounded_at_late_times(silver, n):
+    # at 3e-4 s the cross block takes 16 788 momentum nodes a row; one
+    # (rows x nodes) integrand held whole peaked at 276 MB on 128x128 and
+    # 1.1 GB on 512x512.  The three output blocks take 12.6 MB of 512x512.
+    state = sg.evolve_in_field(silver, 3e-4)
+    q, p = sg.default_phase_space_grid(silver, 3e-4, n_q=n, n_p=n)
+    fine, pix = sg.wigner_field(state, q, p), sg.CoarsePixelSpec.default()
+    sg.coarse_grain(sg.wigner_field(state, q[:1], p[:1]), pix)  # loads scipy.special
+    tracemalloc.start()
+    try:
+        sg.coarse_grain(fine, pix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def _mpmath_box_average(form, q, p, hu, hv):
@@ -968,11 +945,12 @@ def _mpmath_box_average(form, q, p, hu, hv):
 
 
 # worst |W̄ - mpmath| over the cells below, relative to the block's
-# pixel-average peak; measured worst 3.0e-12, the +- block at 3e-5 s
+# pixel-average peak; measured worst 2.0e-12, the +- block at 3e-5 s,
+# and 5.3e-13 at 1e-4 s, where a 64-panel cap was off by the whole block
 _TOL_BOX_POINT = 1e-11
 
 
-@pytest.mark.parametrize("t", [1e-6, 3e-5])
+@pytest.mark.parametrize("t", [1e-6, 3e-5, 1e-4])
 @pytest.mark.parametrize("pair", ["++", "+-"])
 def test_box_average_matches_mpmath_at_points(silver, t, pair):
     state = sg.evolve_in_field(silver, t)
@@ -983,7 +961,7 @@ def test_box_average_matches_mpmath_at_points(silver, t, pair):
     cells = [(0.0, 0.0), (0.7, 150.0), (4.0, -hv - 1.5)]
     qs = np.array([form.q0 + dq for dq, _ in cells])
     ps = np.array([form.p0 + dp for _, dp in cells])
-    got = _box_average_form(form, qs, ps, hu, hv)
+    got = np.diagonal(_box_average_form(form, qs, ps, hu, hv))  # the cells on a 3x3 mesh
     # the peak sits at the centre or, for a suppressed cross block, where a
     # window edge cuts through the centre
     near = np.linspace(-3.0, 3.0, 25)
