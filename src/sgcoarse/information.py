@@ -34,19 +34,23 @@ LN2 = math.log(2.0)
 _TAIL_SIGMAS = 12.0
 
 
+def _xlogx(x):
+    """x ln x elementwise for x >= 0, with 0 ln 0 = 0 and no divide warning."""
+    x = np.asarray(x, dtype=float)
+    return x * np.log(np.where(x == 0.0, 1.0, x))
+
+
 def entropy_from_overlap(A):
     """Equal-weight spin entropy (nats) for overlap magnitude A in [0, 1].
 
     The reduced spin matrix has eigenvalues (1 pm A)/2, so
     S = ln2 - [(1+A)/2]ln(1+A) - [(1-A)/2]ln(1-A), with 0 ln 0 = 0.
     """
-    from scipy.special import xlogy
-
     A = np.asarray(A, dtype=float)
     if np.any(A < -1e-12) or np.any(A > 1.0 + 1e-12):
         raise ValueError("overlap magnitude must lie in [0, 1]")
     A = np.clip(A, 0.0, 1.0)
-    s = LN2 - 0.5 * (xlogy(1.0 + A, 1.0 + A) + xlogy(1.0 - A, 1.0 - A))
+    s = LN2 - 0.5 * (_xlogx(1.0 + A) + _xlogx(1.0 - A))
     out = np.clip(s, 0.0, LN2)
     return float(out) if out.ndim == 0 else out
 
@@ -115,9 +119,7 @@ def reduced_spin_density(state: SpinorWavepacket) -> np.ndarray:
 def _entropy(probs):
     """-Σ w ln w in nats over the probabilities w in `probs`, 0 ln 0 = 0;
     each w may be a scalar or an array, and the sum runs elementwise."""
-    from scipy.special import xlogy
-
-    return -sum(xlogy(w, w) for w in probs)
+    return -sum(_xlogx(w) for w in probs)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """Entanglement entropy, screen statistics, and the mean information bound."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,15 +10,31 @@ from hypothesis import given, strategies as st
 from scipy.special import xlogy
 
 import sgcoarse as sg
+from sgcoarse import information
 
 
 def test_entropy_endpoints():
     assert sg.entropy_from_overlap(1.0) == 0.0
-    assert sg.entropy_from_overlap(0.0) == pytest.approx(sg.LN2, rel=1e-15)
+    assert sg.entropy_from_overlap(0.0) == sg.LN2
     with pytest.raises(ValueError):
         sg.entropy_from_overlap(1.0 + 1e-9)
     with pytest.raises(ValueError):
         sg.entropy_from_overlap(-1e-9)
+
+
+def test_entropy_matches_scipy_xlogy():
+    # the numpy x ln x takes 0 ln 0 = 0 without a divide warning and stays
+    # within 2 ulps of scipy's xlogy, zeros included
+    rng = np.random.default_rng(20151102)
+    w = rng.uniform(0.0, 1.0, (2, 4000))
+    w[0, 1::5] = 10.0 ** rng.uniform(-300.0, 0.0, w[0, 1::5].shape)
+    w[:, ::7] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = information._entropy(w)
+    want = -(xlogy(w[0], w[0]) + xlogy(w[1], w[1]))
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+    assert np.all(got[::7] == 0.0)
 
 
 @given(pair=st.tuples(st.floats(min_value=0.0, max_value=1.0),

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sgcoarse.numerics import _KAPPA_DIRECT, _erf_damped, gauss_window, osc_gauss_window
+from sgcoarse.numerics import _erf_damped, _erfc, _faddeeva, gauss_window, osc_gauss_window
 
 DIGITS = 20  # working precision of the references
 N_CASES = 60  # per branch of osc_gauss_window, and for gauss_window
@@ -22,7 +22,9 @@ def _reference_osc(a, b, alpha, k):
                                    edges, method="gauss-legendre"))
 
 
-@pytest.mark.parametrize("kappa_range", [(0.0, 0.0), (0.0, _KAPPA_DIRECT), (_KAPPA_DIRECT, 90.0)],
+# the ranges where the kernel once took a direct complex erf (|κ| <= 30)
+# and the Faddeeva form (above); one formula now serves both
+@pytest.mark.parametrize("kappa_range", [(0.0, 0.0), (0.0, 30.0), (30.0, 90.0)],
                          ids=["zero-kappa", "direct-erf", "faddeeva"])
 def test_osc_gauss_window_matches_mpmath(kappa_range):
     rng = np.random.default_rng(20151030)
@@ -55,7 +57,52 @@ def test_gauss_window_matches_mpmath():
     assert worst < 1e-12
 
 
-_KAPPAS = [0.0, 1e-3, 17.58, _KAPPA_DIRECT, float(np.nextafter(_KAPPA_DIRECT, np.inf)), 527.0]
+def _mpmath_w(z):
+    """w(z) = exp(-z²) erfc(-iz) at 30 digits."""
+    with mpmath.workdps(30):
+        return np.array([complex(mpmath.exp(-mpmath.mpc(v) ** 2) * mpmath.erfc(-1j * mpmath.mpc(v)))
+                         for v in z])
+
+
+def _w_points(region, n=200):
+    rng = np.random.default_rng(20151101)
+    if region == "wide":
+        return rng.uniform(-1e4, 1e4, n) + 1j * rng.uniform(0.0, 1e3, n)
+    if region == "core":
+        return rng.uniform(-15.0, 15.0, n) + 1j * rng.uniform(0.0, 6.0, n)
+    if region == "origin":
+        z = 1e-3 * rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(0.0, np.pi, n))
+        return np.concatenate([z, [0.0, 1e-3, -1e-3, 1e-3j]])
+    # osc_gauss_window's arguments κ/2 + i|x| for |κ| up to 1200
+    return rng.uniform(-600.0, 600.0, n) + 1j * np.concatenate(
+        [np.zeros(n // 4), 10.0 ** rng.uniform(-300.0, 1.5, n - n // 4)])
+
+
+@pytest.mark.parametrize("region", ["wide", "core", "origin", "kappa"])
+def test_faddeeva_matches_mpmath(region):
+    z = _w_points(region)
+    want = _mpmath_w(z)
+    assert float(np.max(np.abs(_faddeeva(z) - want) / np.abs(want))) <= 1e-13
+
+
+def test_erfc_matches_mpmath():
+    # 26.5 is about where erfc leaves the normal range
+    x = np.linspace(-5.0, 26.5, 1261)
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.erfc(mpmath.mpf(v))) for v in x])
+    assert float(np.max(np.abs(_erfc(x) / want - 1.0))) <= 1e-13
+
+
+def test_erf_matches_mpmath():
+    # gauss_window takes a window across mu as erfc(lo) - erfc(hi), that is
+    # erf(hi) - erf(lo) with erf = 1 - erfc
+    x = np.linspace(-6.0, 6.0, 1201)
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.erf(mpmath.mpf(v))) for v in x])
+    assert float(np.max(np.abs((1.0 - _erfc(x)) - want))) <= 1e-15
+
+
+_KAPPAS = [0.0, 1e-3, 17.58, 30.0, float(np.nextafter(30.0, np.inf)), 527.0]
 _KAPPAS += [-k for k in _KAPPAS]
 
 
@@ -71,13 +118,14 @@ def _window_points():
 
 def _reference_erf_damped(x, kappa):
     """exp(-kappa^2/4) * erf(x - i*kappa/2) with x and kappa broadcast
-    elementwise, each element on the path its own kappa picks."""
+    elementwise, by scipy: a direct complex erf where |kappa| <= 30 and
+    the reflected Faddeeva form above, each element on its own kappa's path."""
     from scipy.special import erf, wofz
 
     x, kappa = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(kappa, dtype=float))
     out = np.empty(x.shape, dtype=complex)
 
-    small = np.abs(kappa) <= _KAPPA_DIRECT
+    small = np.abs(kappa) <= 30.0
     if small.any():
         out[small] = np.exp(-kappa[small] ** 2 / 4.0) * erf(x[small] - 0.5j * kappa[small])
 
@@ -94,10 +142,13 @@ def _reference_erf_damped(x, kappa):
 
 @pytest.mark.parametrize("kappa", _KAPPAS)
 def test_scalar_kappa_erf_matches_the_array_path(kappa):
-    # one float kappa picks one path for every x; the masked array path
-    # picks per element, and both give the same bits, so the W+- blocks
-    # of coarse_grain keep theirs; osc_gauss_window passes an np.float64
+    # one formula for every kappa, finite at +-0 and at subnormal x, within
+    # ten ulps of 1 of scipy's per-element paths on both sides of the old
+    # switch at 30; osc_gauss_window passes an np.float64, which gives the
+    # same bits as a float
     x = _window_points()
-    want = _bits(_reference_erf_damped(x, np.full(x.shape, kappa)))
-    for kap in (kappa, np.float64(kappa)):
-        assert np.array_equal(_bits(_erf_damped(x, kap)), want)
+    got = _erf_damped(x, kappa)
+    assert np.all(np.isfinite(got))
+    assert float(np.max(np.abs(got - _reference_erf_damped(x, np.full(x.shape, kappa))))) \
+        <= 10.0 * np.finfo(float).eps
+    assert np.array_equal(_bits(_erf_damped(x, np.float64(kappa))), _bits(got))
