@@ -663,6 +663,14 @@ def test_subcommands_load_scipy_only_where_they_call_it(tmp_path, argv):
     assert _fresh_python(code) == "False False 0 1"
 
 
+def test_info_does_not_load_scipy_integrate(tmp_path):
+    # the fine-limit information integrates in numpy, and its xlogy is numpy
+    code = (f"import sys; from sgcoarse import cli; "
+            f"status = cli.main({['info', '--points', '3', '--out', str(tmp_path)]!r}); "
+            f"print(status, 'scipy.special' in sys.modules, 'scipy.integrate' in sys.modules)")
+    assert _fresh_python(code) == "0 False False"
+
+
 def test_subcommands_run_where_scipy_cannot_be_imported(tmp_path):
     # an interpreter without scipy: any import of it raises ImportError
     runs = "; ".join(f"status.append(cli.main({argv.split() + ['--out', str(tmp_path / name)]!r}))"
