@@ -175,17 +175,32 @@ def _wigner_lines(p, blocks):
     reads as _fmt writes it; each p is formatted once per grid and each q
     once per row, so only the five W columns are formatted per cell.  An
     underflowed W_pm keeps the sign of its phase; adding 0.0 writes it as
-    0, not -0, and leaves every other value as it is."""
+    0, not -0, and leaves every other value as it is.
+
+    A cell whose five W values are all +0.0 needs no formatting: each
+    maximal run of such cells in a q row is written as one string of
+    "q,p,0,0,0,0,0" lines.  The test is on the bits, not on == 0, so a
+    -0.0 (written -0) or a NaN keeps its cell formatted."""
     cell_fmt = "%s%s" + ",".join(["%.17g"] * 5) + "\n"
     p_text = [_fmt(v) + "," for v in p.tolist()]
+    zero_tail = [text + "0,0,0,0,0\n" for text in p_text]
     for field, proj in blocks:
+        w_pm = field.w_pm + 0.0
+        columns = (field.w_pp, field.w_mm, w_pm.real, w_pm.imag, proj)
+        live = np.logical_or.reduce([c.view(np.uint64) != 0 for c in columns])
         for i, q in enumerate(field.q.tolist()):
-            w_pm = field.w_pm[i] + 0.0
-            yield from map(cell_fmt.__mod__, zip(
-                itertools.repeat(_fmt(q) + ","), p_text,
-                field.w_pp[i].tolist(), field.w_mm[i].tolist(),
-                w_pm.real.tolist(), w_pm.imag.tolist(), proj[i].tolist(),
-            ))
+            q_text = _fmt(q) + ","
+            row = live[i]
+            cuts = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(), row.size]
+            alive = bool(row[0])
+            for a, b in zip(cuts, cuts[1:]):
+                if alive:
+                    yield from map(cell_fmt.__mod__, zip(
+                        itertools.repeat(q_text), p_text[a:b],
+                        *(c[i, a:b].tolist() for c in columns)))
+                else:
+                    yield q_text + q_text.join(zero_tail[a:b])
+                alive = not alive
 
 
 def _projected(field):

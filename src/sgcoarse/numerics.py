@@ -106,6 +106,18 @@ def gauss_window(a, b, mu, alpha: float) -> np.ndarray:
     return (np.sqrt(np.pi) / (2.0 * ra)) * diff
 
 
+@functools.cache
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre nodes and weights on [-1, 1], read-only and
+    built once per n.  numpy.polynomial loads on first use, not at import."""
+    from numpy.polynomial.legendre import leggauss
+
+    rule = leggauss(n)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
+
+
 def real_quad(f, a: float, b: float, panel: float, points=()) -> float:
     """∫_a^b f for a real integrand f that takes and returns arrays.
 
@@ -113,8 +125,6 @@ def real_quad(f, a: float, b: float, panel: float, points=()) -> float:
     no wider than `panel`, and each panel takes a 20-node Gauss-Legendre
     rule.  The caller picks `panel` from its integrand's length scale.
     """
-    from numpy.polynomial.legendre import leggauss
-
     cuts = [a, *sorted({p for p in points if a < p < b}), b]
     edges = [a]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -122,12 +132,12 @@ def real_quad(f, a: float, b: float, panel: float, points=()) -> float:
     edges = np.array(edges)
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    x, w = leggauss(20)
+    x, w = _leggauss(20)
     return float(np.sum(half * w * f(mid + half * x)))
 
 
 def gauss_legendre_nodes(a: float, b: float, n: int):
     """Gauss-Legendre nodes and weights mapped to [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     half = 0.5 * (b - a)
     return half * x + 0.5 * (a + b), half * w

@@ -347,6 +347,21 @@ def test_row_writer_matches_per_value_format(tmp_path, state_early):
         w_pm=np.array([[complex(0.1, -0.0), complex(5e-324, 1e308), -1e-300j],
                        [complex(-0.0, 0.1), complex(1e308, 5e-324), -1e-300]]))
     edge_proj = np.array([[0.1, -1e-300, -0.0], [1e308, 5e-324, 0.0]])
+    # +0 runs, which the writer copies unformatted: row 0 is +0 in every
+    # column; row 1 has dead runs at its start, middle and end around a
+    # single live cell and a live pair holding a NaN; row 2 holds a -0.0 in
+    # W_pp, W_mm and proj inside zero runs, and both rows a W_pm of
+    # complex(-0.0, -0.0), which writes 0,0 and stays in its run
+    zeros = np.zeros((3, 12))
+    w_pp, w_mm, zero_proj = zeros.copy(), zeros.copy(), zeros.copy()
+    w_pm = zeros.astype(complex)
+    w_mm[1, 3] = 0.25
+    zero_proj[1, 7], w_pp[1, 8] = np.nan, -1e-300
+    w_pp[2, 2], w_mm[2, 5], zero_proj[2, 9] = -0.0, -0.0, -0.0
+    w_pm[1, 5] = w_pm[2, 10] = complex(-0.0, -0.0)
+    zero_field = dataclasses.replace(
+        field, q=np.array([-1e-7, 0.0, 1e-7]), p=np.linspace(-2e-28, 2e-28, 12),
+        w_pp=w_pp, w_mm=w_mm, w_pm=w_pm)
     x = np.linspace(-1e-5, 1e-5, 9)
     scalars = list(zip(x, np.exp(-x * x / 1e-11), np.float64(1) / 3 - x))
     wigner_columns = sg.WIGNER_CSV_HEADER + ",W_proj_x"
@@ -356,6 +371,8 @@ def test_row_writer_matches_per_value_format(tmp_path, state_early):
          _wigner_rows(field, proj)),
         (cli._write_lines, cli._wigner_lines(edge_field.p, [(edge_field, edge_proj)]),
          wigner_columns, _wigner_rows(edge_field, edge_proj)),
+        (cli._write_lines, cli._wigner_lines(zero_field.p, [(zero_field, zero_proj)]),
+         wigner_columns, _wigner_rows(zero_field, zero_proj)),
         (cli._write_csv, scalars, "x,y,z", scalars),
     ]
     for k, (write, body, columns, want) in enumerate(cases):

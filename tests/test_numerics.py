@@ -6,7 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from sgcoarse.numerics import _erf_damped, _erfc, _faddeeva, gauss_window, osc_gauss_window
+from sgcoarse.numerics import (_erf_damped, _erfc, _faddeeva, _leggauss, gauss_window,
+                                osc_gauss_window, real_quad)
 
 DIGITS = 20  # working precision of the references
 N_CASES = 60  # per branch of osc_gauss_window, and for gauss_window
@@ -152,3 +153,41 @@ def test_scalar_kappa_erf_matches_the_array_path(kappa):
     assert float(np.max(np.abs(got - _reference_erf_damped(x, np.full(x.shape, kappa))))) \
         <= 10.0 * np.finfo(float).eps
     assert np.array_equal(_bits(_erf_damped(x, np.float64(kappa))), _bits(got))
+
+
+def test_gauss_legendre_rule_is_built_once_and_read_only():
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = _leggauss(12)
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    again = _leggauss(12)
+    assert again[0] is x and again[1] is w
+    want_x, want_w = leggauss(12)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+
+
+def _uncached_real_quad(f, a, b, panel, points=()):
+    """real_quad with the 20-node rule rebuilt on every call."""
+    from numpy.polynomial.legendre import leggauss
+
+    cuts = [a, *sorted({p for p in points if a < p < b}), b]
+    edges = [a]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        edges.extend(np.linspace(lo, hi, math.ceil((hi - lo) / panel) + 1)[1:])
+    edges = np.array(edges)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    x, w = leggauss(20)
+    return float(np.sum(half * w * f(mid + half * x)))
+
+
+@pytest.mark.parametrize("points", [(), (-1.5, 0.0, 2.0, 9.0)])
+def test_real_quad_matches_an_uncached_rule_bit_for_bit(points):
+    def f(u):
+        return np.exp(-u * u) * np.cos(3.0 * u) ** 2
+
+    for a, b, panel in [(-4.0, 5.0, 0.7), (-1e-3, 2e-3, 1e-4), (0.0, 30.0, 2.5)]:
+        got = real_quad(f, a, b, panel, points)
+        assert got.hex() == _uncached_real_quad(f, a, b, panel, points).hex()

@@ -637,6 +637,12 @@ def test_import_does_not_load_scipy(module):
     assert _fresh_python(f"import sys, {module}; print({_SCIPY_LOADED})") == "False"
 
 
+def test_import_does_not_load_numpy_polynomial():
+    # numerics builds its Gauss-Legendre rules on first use, not at import
+    code = "import sys, sgcoarse.cli; print('numpy.polynomial' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
 def test_import_does_not_load_concurrent_futures():
     # nothing in the package runs work on a thread pool
     code = "import sys, sgcoarse.cli; print('concurrent.futures' in sys.modules)"
