@@ -273,6 +273,7 @@ def _cmd_verify(out: str, params: PhysicalParams, s: dict) -> int:
     order = orders[int(np.argmax(np.abs(np.subtract(orders, 2.0))))]
 
     s["observed_convergence_order"] = order
+    s["strang_phase_max"] = max(r.strang_phase for r in rows)  # rad, divided out of the L2 columns
     header = _header(
         "verify", params, s,
         "t [s], l2_err_plus [1], l2_err_minus [1], overlap_dev [1], norm_drift [1]",

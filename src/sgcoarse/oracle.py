@@ -10,11 +10,12 @@ so the norm is conserved to roundoff regardless of dt.
 
 For a potential linear in x the Baker-Campbell-Hausdorff series terminates:
 the only surviving error commutator [V,[V,K]] is a c-number, so one Strang
-step equals the exact propagator times a global phase exp(i m a² dt³/24ħ...)
-per step, accumulating to m a² T dt²/24ħ.  Densities therefore match the
-closed forms to roundoff at any stable dt, while the complex amplitudes
-show textbook second-order convergence, which is what the verification
-report measures.  dt defaults are solved from that phase bound.
+step is the exact propagator times the global phase exp(i a² dt³/24) (scaled),
+the same for both branches.  A state sums these phases over its steps, exact
+for any dt schedule, and the closed-form comparison divides the sum out, so
+the amplitudes match to roundoff at the default dt of t/64.  The convergence
+study keeps the phase in and measures the splitting's second order.  Field
+curvature would leave a commutator that is not a c-number and break this.
 
 Both branches advance together as one (2, n) array.  A step costs one
 batched forward and one batched inverse FFT, three elementwise multiplies by
@@ -38,8 +39,7 @@ from .dynamics import BRANCHES, SIGNS, SpinorWavepacket, evolve_in_field
 
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_HALF_WIDTH = 10.0  # scaled units of sigma
-DEFAULT_DT_FRACTION = 1e-5  # of tau2
-_STRANG_PHASE_TARGET = 2e-7  # accumulated Strang phase that default_dt allows
+DEFAULT_DT_FRACTION = 1e-5  # of tau2: default_dt at t = 0, where no step is taken
 _CONVERGENCE_LEVELS = 3  # t/64, t/128, t/256 in convergence_order, both branches
 _SAMPLES_PER_WAVELENGTH = 8.0
 _WIDTH_MARGIN = 12.0
@@ -50,6 +50,7 @@ class _StepPlan:
     """Strang factors for one dt on a state's grid, all scaled."""
 
     dts: float
+    phase: float  # the step's global Strang phase a²·dts³/24
     kick: np.ndarray  # (2, n): half-kick of the + and - branch
     drift: np.ndarray  # (2, n): spectral free flight over dts, at the state's shape
 
@@ -78,6 +79,7 @@ class GridState:
     psi: np.ndarray  # (2, n): rows are the + and - branch
     norms: np.ndarray  # (2,): Σ|ψ|² of each row
     step_norm_drift: float = 0.0  # max per-step relative norm change so far
+    strang_phase: float = 0.0  # Σ a²·dts³/24: the splitting's global phase so far (rad)
     plan: _StepPlan | None = field(default=None, repr=False, compare=False)
 
     def boundary_mass(self, margin: float = 2.0) -> float:
@@ -127,7 +129,7 @@ def step_split_operator(state: GridState, dt: float) -> GridState:
         # V_s = -a_s x
         kick = np.stack([np.exp(1j * s * accel * state.x * dts / 2.0) for s in SIGNS])
         drift = np.tile(np.exp(-1j * k**2 * dts / 2.0), (len(SIGNS), 1))
-        plan = _StepPlan(dts=dts, kick=kick, drift=drift)
+        plan = _StepPlan(dts=dts, phase=accel**2 * dts**3 / 24.0, kick=kick, drift=drift)
     out = plan.kick * state.psi
     np.fft.fft(out, axis=-1, out=out)
     out *= plan.drift
@@ -148,6 +150,7 @@ def step_split_operator(state: GridState, dt: float) -> GridState:
         psi=out,
         norms=norms,
         step_norm_drift=drift_max,
+        strang_phase=state.strang_phase + plan.phase,
         plan=plan,
     )
 
@@ -176,16 +179,8 @@ def _check_resolution(params: PhysicalParams, t: float, n: int, half_width: floa
 
 
 def default_dt(params: PhysicalParams, t: float) -> float:
-    """dt (SI) putting the accumulated Strang phase below _STRANG_PHASE_TARGET
-    at time t."""
-    units = UnitSystem.for_params(params)
-    ahat = abs(params.accel / units.accel)
-    ts = t / units.time
-    dt_hat = DEFAULT_DT_FRACTION
-    if ahat > 0.0 and ts > 0.0:
-        dt_hat = min(dt_hat, math.sqrt(24.0 * _STRANG_PHASE_TARGET / (ahat**2 * ts)))
-    dt_hat = min(dt_hat, ts / 64.0) if ts > 0.0 else dt_hat
-    return dt_hat * units.time
+    """dt (SI) of t/64, or DEFAULT_DT_FRACTION of the time unit at t = 0, where no step is taken."""
+    return t / 64.0 if t > 0.0 else DEFAULT_DT_FRACTION * UnitSystem.for_params(params).time
 
 
 def evolve_grid(
@@ -221,6 +216,7 @@ class OracleRow:
     overlap_dev: float
     norm_drift: float  # max per-step relative drift (the unitarity bound)
     cum_norm_drift: float = 0.0  # |final norm - 1|, grows with step count
+    strang_phase: float = 0.0  # the grid's splitting phase, divided out of the L2 errors
 
 
 @dataclass(frozen=True)
@@ -243,10 +239,11 @@ class OracleReport:
         return float(np.max([r.norm_drift for r in self.rows]))
 
 
-def _branch_error(grid: GridState, exact: SpinorWavepacket, i: int) -> float:
-    """Relative L2 error of grid row i against the closed-form branch BRANCHES[i]."""
+def _branch_error(grid: GridState, exact: SpinorWavepacket, i: int, phase: float = 0.0) -> float:
+    """Relative L2 error of grid row i against closed-form branch BRANCHES[i] times e^(i·phase)."""
     x_si = grid.x * grid.units.length
     ref = exact.amplitude(BRANCHES[i], x_si, weighted=False) / grid.units.amplitude
+    ref *= np.exp(1j * phase)
     diff = np.abs(grid.psi[i] - ref)
     num = np.sum(diff**2) * grid.dx
     den = np.sum(np.abs(ref) ** 2) * grid.dx
@@ -272,11 +269,12 @@ def verify_closed_forms(
         rows.append(
             OracleRow(
                 t=float(t),
-                l2_err_plus=_branch_error(grid, exact, 0),
-                l2_err_minus=_branch_error(grid, exact, 1),
+                l2_err_plus=_branch_error(grid, exact, 0, grid.strang_phase),
+                l2_err_minus=_branch_error(grid, exact, 1, grid.strang_phase),
                 overlap_dev=abs(grid.overlap() - ov_exact),
                 norm_drift=grid.step_norm_drift,
                 cum_norm_drift=float(np.max(np.abs(grid.norms * grid.dx - 1.0))),
+                strang_phase=grid.strang_phase,
             )
         )
     return OracleReport(n=n, rows=tuple(rows))
@@ -288,12 +286,12 @@ def convergence_order(
     n: int = DEFAULT_GRID_POINTS,
     half_width: float = DEFAULT_HALF_WIDTH,
 ) -> tuple[list[float], list[float]]:
-    """Worse-branch L2 errors (np.max: NaN if either is) for dt0 = t/64,
-    default_dt's largest step, dt0/2 and dt0/4, and the orders between them."""
+    """Worse-branch raw L2 errors, the Strang phase kept in (np.max: NaN if
+    either is), for dt0 = default_dt's t/64, dt0/2 and dt0/4, and the orders
+    between them."""
     if not (0.0 < t < math.inf):
         raise ValueError(f"convergence_order needs a positive finite time t, got t={t}")
-    units = UnitSystem.for_params(params)
-    dt0 = (t / units.time / 64.0) * units.time  # default_dt's t/64, bit for bit
+    dt0 = default_dt(params, t)
     errs = []
     exact = evolve_in_field(params, t)
     for lvl in range(_CONVERGENCE_LEVELS):

@@ -212,8 +212,8 @@ def test_verify_passes(tmp_path, silver_config, silver, scales, convergence,
     assert worst != max(convergence[1], key=lambda order: abs(order - 2.0))
 
 
-def test_default_verify_takes_7387_strang_steps(tmp_path, run_cli, monkeypatch):
-    # 64 + 64 + 6811 steps for the three default rows, then the 64 + 128 + 256
+def test_default_verify_takes_640_strang_steps(tmp_path, run_cli, monkeypatch):
+    # 64 + 64 + 64 steps for the three default rows, then the 64 + 128 + 256
     # of the convergence study: one call per Strang step, both rows at once
     shapes = []
     step = sg.oracle.step_split_operator
@@ -224,8 +224,38 @@ def test_default_verify_takes_7387_strang_steps(tmp_path, run_cli, monkeypatch):
 
     monkeypatch.setattr(sg.oracle, "step_split_operator", counted)
     assert run_cli(["verify", "--out", str(tmp_path)]) == 0
-    assert len(shapes) == 7387
+    assert len(shapes) == 640
     assert set(shapes) == {(2, 4096)}
+
+
+def test_verify_reports_the_strang_phase_it_divided_out(tmp_path, run_cli, read_csv,
+                                                        silver, scales, units):
+    # the largest phase is the 0.01 tau2 row's a^2 t dt^2/24 (scaled), at
+    # dt = t/64; the line is a diagnostic, so a replay ignores it and writes
+    # the same bytes
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli(["verify", "--out", str(first)]) == 0
+    header, _, rows = read_csv(first / "verify.csv")
+    [line] = [h for h in header if h.startswith("# strang_phase_max = ")]
+    a, ts = silver.accel / units.accel, rows[-1, 0] / units.time
+    assert rows[-1, 0] == pytest.approx(0.01 * scales.tau2, rel=1e-15)
+    want = a**2 * ts * (ts / 64.0) ** 2 / 24.0
+    assert float(line.partition("=")[2]) == pytest.approx(want, rel=1e-12)
+    assert np.all(rows[:, 1:3] < 1e-13)
+    assert run_cli(["verify", "--config", str(first / "verify.csv"), "--out", str(again)]) == 0
+    assert (again / "verify.csv").read_bytes() == (first / "verify.csv").read_bytes()
+
+
+def test_verify_takes_a_zero_time(tmp_path, run_cli, read_csv):
+    # t = 0 takes no Strang step: the row compares the sampled initial packet
+    # with the closed form, and the default dt it is given is never used
+    assert run_cli(["verify", "--out", str(tmp_path), "--t-list", "0,1e-08",
+                    "--n", "2048"]) == 0
+    _, _, rows = read_csv(tmp_path / "verify.csv")
+    assert rows[0, 0] == 0.0
+    assert np.all(rows[0, 1:3] < 1e-15)
+    assert rows[0, 3] == 0.0 and rows[0, 4] == 0.0
+    assert np.all(rows[1, 1:3] < 1e-13)
 
 
 @pytest.mark.parametrize("coarse_dt", ["0", "1"])

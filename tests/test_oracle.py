@@ -15,10 +15,11 @@ def test_closed_forms_within_tolerance(oracle_report):
     assert len(report.rows) == 3
     for row in report.rows:
         assert max(row.l2_err_plus, row.l2_err_minus) < 1e-6
-    # short rows are roundoff-dominated; the long row is stepsize-dominated
-    assert max(report.rows[0].l2_err_plus, report.rows[0].l2_err_minus) < 1e-10
-    assert max(report.rows[1].l2_err_plus, report.rows[1].l2_err_minus) < 1e-7
-    assert report.max_l2 == pytest.approx(1.9995297919923310e-07, rel=1e-3)
+    # with the splitting's global phase divided out every row is at roundoff
+    # (1.5e-14 at most); kept in, it would read |1 - e^(i phase)|, the phase
+    assert report.max_l2 < 1e-13
+    for row in report.rows:
+        assert row.strang_phase > 0.0
 
 
 def test_grid_overlap_matches_exact(oracle_report):
@@ -42,13 +43,67 @@ def test_second_order_convergence(convergence):
         assert 3.6 < e_coarse / e_fine < 4.4  # halving dt quarters the error
 
 
-def test_convergence_study_starts_at_the_oracle_step(convergence, oracle_report, scales):
-    # level 0 steps at default_dt(tau3) = tau3/64: the evolution of the tau3 row
+def test_convergence_study_starts_at_the_oracle_step(convergence, oracle_report, silver, scales):
+    # level 0 steps at default_dt(tau3) = tau3/64: the grid of the tau3 row,
+    # whose raw error (the Strang phase kept in) the study reads
     errs, _ = convergence
     report, _ = oracle_report
     row = report.rows[1]
     assert row.t == scales.tau3
-    assert errs[0] == max(row.l2_err_plus, row.l2_err_minus)
+    grid = sg.evolve_grid(silver, scales.tau3)
+    assert grid.strang_phase == row.strang_phase
+    exact = sg.evolve_in_field(silver, scales.tau3)
+    raw = [sg.oracle._branch_error(grid, exact, i) for i in range(len(BRANCHES))]
+    assert errs[0] == max(raw)
+    assert errs[0] > 1e4 * max(row.l2_err_plus, row.l2_err_minus)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_strang_phase_is_the_grids_global_phase(silver, scales, units, level):
+    # at each convergence level the grid leads the closed form by the global
+    # phase a^2 t dt^2/24 (scaled), which the state carries; an absolute
+    # bound, since roundoff alone moves the ratio by 1.6e-5 at t/256
+    t = scales.tau3
+    grid = sg.evolve_grid(silver, t, dt=t / 64.0 / 2**level)
+    a, ts = silver.accel / units.accel, t / units.time
+    dts = ts / 64.0 / 2**level
+    want = a**2 * ts * dts**2 / 24.0
+    assert grid.strang_phase == pytest.approx(want, rel=1e-12)
+    exact = sg.evolve_in_field(silver, t)
+    for i, label in enumerate(BRANCHES):
+        ref = exact.amplitude(label, grid.x * units.length, weighted=False) / units.amplitude
+        assert abs(np.angle(np.vdot(ref, grid.psi[i])) - want) <= 1e-13
+        # dividing it out leaves roundoff; keeping it in leaves |1 - e^(i phase)|
+        assert sg.oracle._branch_error(grid, exact, i, grid.strang_phase) < 1e-13
+        assert sg.oracle._branch_error(grid, exact, i) == pytest.approx(want, rel=1e-4)
+
+
+def test_verify_is_invariant_under_dimensional_scaling(silver, scales, monkeypatch):
+    # sigma -> 2 sigma, F -> F/8 and t -> 4t leave every scaled quantity the
+    # same bits, so the grids are the same; the L2 errors differ only through
+    # the sigma^(-1/2) amplitude unit
+    calls = []
+    step = sg.oracle.step_split_operator
+
+    def counted(state, dt):
+        calls.append(None)
+        return step(state, dt)
+
+    monkeypatch.setattr(sg.oracle, "step_split_operator", counted)
+    times = [0.1 * scales.tau3, scales.tau3, 0.01 * scales.tau2]
+    scaled = sg.PhysicalParams.silver(sigma=2.0 * silver.sigma, force=silver.force / 8.0)
+    report = sg.verify_closed_forms(silver, times)
+    steps = len(calls)
+    twin = sg.verify_closed_forms(scaled, [4.0 * t for t in times])
+    assert steps == len(calls) - steps == 64 * 3
+    for row, other in zip(report.rows, twin.rows):
+        assert other.t == 4.0 * row.t
+        assert abs(other.l2_err_plus - row.l2_err_plus) <= 1e-16
+        assert abs(other.l2_err_minus - row.l2_err_minus) <= 1e-16
+        assert abs(other.overlap_dev - row.overlap_dev) <= 1e-16
+        assert other.norm_drift == row.norm_drift
+        assert other.cum_norm_drift == row.cum_norm_drift
+        assert other.strang_phase == row.strang_phase
 
 
 def test_convergence_study_takes_448_steps(silver, scales, monkeypatch):
@@ -81,6 +136,12 @@ def test_zero_force_is_exact_free_motion():
     row = report.rows[0]
     assert max(row.l2_err_plus, row.l2_err_minus) < 1e-10
     assert row.overlap_dev < 1e-10
+    # no force, no Strang phase: the rows are the raw errors
+    assert row.strang_phase == 0.0
+    grid = sg.evolve_grid(params, 2e-4, n=2048)
+    exact = sg.evolve_in_field(params, 2e-4)
+    assert row.l2_err_plus == sg.oracle._branch_error(grid, exact, 0)
+    assert row.l2_err_minus == sg.oracle._branch_error(grid, exact, 1)
 
 
 def test_grid_state_diagnostics(silver, scales, units):
@@ -106,8 +167,9 @@ def test_escaping_packet_is_rejected():
 
 def test_default_dt_subdivides_the_interval(silver, scales):
     for t in (scales.tau3, 0.01 * scales.tau2):
-        dt = sg.default_dt(silver, t)
-        assert 0.0 < dt <= t / 64.0 * (1.0 + 1e-12)
+        assert sg.default_dt(silver, t) == t / 64.0
+    # t = 0 takes no step, but evolve_grid checks the dt it is given first
+    assert sg.default_dt(silver, 0.0) > 0.0
 
 
 def test_grid_argument_validation(silver, scales):
